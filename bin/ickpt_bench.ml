@@ -90,18 +90,19 @@ let crash_cmd =
     in
     let configs =
       match labels with
-      | [] -> Crash_sim.default_configs
+      | [] -> Sweep.default_configs
       | ls ->
           List.filter
-            (fun c ->
-              List.exists (fun l -> contains c.Crash_sim.label l) ls)
-            Crash_sim.default_configs
+            (fun c -> List.exists (fun l -> contains c.Sweep.label l) ls)
+            Sweep.default_configs
     in
     if configs = [] then `Error (false, "no config matches")
     else begin
-      let reports = Crash_sim.run_all ~rounds ~density ~configs () in
-      Crash_sim.pp_summary Format.std_formatter reports;
-      if List.for_all Crash_sim.ok reports then `Ok ()
+      let reports =
+        List.map (fun c -> Sweep.sweep ~rounds ~density (Sweep.log c)) configs
+      in
+      Sweep.pp_summary Format.std_formatter reports;
+      if List.for_all Sweep.ok reports then `Ok ()
       else `Error (false, "crash-consistency violations found")
     end
   in

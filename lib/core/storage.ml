@@ -5,12 +5,8 @@ type load_result = {
 }
 
 let append ?(vfs = Vfs.real) ~path seg =
-  let w = vfs.Vfs.open_append path in
-  Fun.protect
-    ~finally:(fun () -> w.Vfs.close ())
-    (fun () ->
-      w.Vfs.write (Segment.encode seg);
-      w.Vfs.sync ())
+  Vfs.write_durably (vfs.Vfs.open_append path) (fun write ->
+      write (Segment.encode seg))
 
 let temp_of ~path = path ^ ".tmp"
 
@@ -20,28 +16,15 @@ let write_chain ?(vfs = Vfs.real) ~path chain =
      of the old one (it used to — in-place truncate + rewrite lost the
      whole chain if crashed mid-way). *)
   let tmp = temp_of ~path in
-  let w = vfs.Vfs.open_trunc tmp in
-  Fun.protect
-    ~finally:(fun () -> w.Vfs.close ())
-    (fun () ->
-      List.iter
-        (fun seg -> w.Vfs.write (Segment.encode seg))
-        (Chain.segments chain);
-      w.Vfs.sync ());
+  Vfs.write_durably (vfs.Vfs.open_trunc tmp) (fun write ->
+      List.iter (fun seg -> write (Segment.encode seg)) (Chain.segments chain));
   vfs.Vfs.rename ~src:tmp ~dst:path
 
 let load ?(vfs = Vfs.real) path =
-  let data = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
-  let rec go acc pos =
-    if pos >= String.length data then
-      { segments = List.rev acc; torn_tail = false; bytes_read = pos }
-    else
-      match Segment.decode data ~pos with
-      | seg, next -> go (seg :: acc) next
-      | exception Ickpt_stream.In_stream.Corrupt _ ->
-          { segments = List.rev acc; torn_tail = true; bytes_read = pos }
-  in
-  go [] 0
+  let r = Vfs.read_frames vfs path Segment.decode in
+  { segments = r.frames;
+    torn_tail = r.valid_len < String.length r.contents;
+    bytes_read = r.valid_len }
 
 let load_chain ?vfs schema ~path =
   let { segments; torn_tail; _ } = load ?vfs path in

@@ -41,3 +41,27 @@ let real =
     truncate = (fun path ~len -> Unix.truncate path len);
     rename = (fun ~src ~dst -> Sys.rename src dst);
     remove = Sys.remove }
+
+let write_durably w f =
+  (try
+     f w.write;
+     w.sync ()
+   with e ->
+     w.close ();
+     raise e);
+  w.close ()
+
+type 'a frames = { frames : 'a list; valid_len : int; contents : string }
+
+let read_frames t path decode =
+  let contents = if t.exists path then t.read_file path else "" in
+  let rec go acc pos =
+    let stop () = { frames = List.rev acc; valid_len = pos; contents } in
+    if pos >= String.length contents then stop ()
+    else
+      match decode contents ~pos with
+      | x, next -> go (x :: acc) next
+      | exception (Ickpt_stream.In_stream.Corrupt _ | Invalid_argument _) ->
+          stop ()
+  in
+  go [] 0

@@ -33,3 +33,21 @@ type t = {
 val real : t
 (** The actual filesystem. [sync] flushes the channel and [fsync]s the
     descriptor; [rename] is POSIX [rename(2)] (atomic on one filesystem). *)
+
+val write_durably : writer -> ((string -> unit) -> unit) -> unit
+(** [write_durably w f] hands [f] the writer's [write], then syncs and
+    closes [w] — closing it on error too. Each call [f] makes is one
+    [write]. Durable when this returns. *)
+
+type 'a frames = {
+  frames : 'a list;  (** every intact frame, file order *)
+  valid_len : int;  (** byte length of the intact prefix *)
+  contents : string;  (** the whole file as read ([""] when missing) *)
+}
+
+val read_frames : t -> string -> (string -> pos:int -> 'a * int) -> 'a frames
+(** Decode frames from offset 0 with [decode] (frame and next offset)
+    until the end of the file or the first frame that raises
+    {!Ickpt_stream.In_stream.Corrupt} or [Invalid_argument] — a torn or
+    corrupt tail. A missing file has no frames. Performs no writes; the
+    caller decides whether to truncate at [valid_len]. *)

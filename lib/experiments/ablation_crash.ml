@@ -15,7 +15,10 @@ let title = "Ablation (extension): crash-consistency of the checkpoint log"
 let run ~scale ppf =
   (* Scale steers how finely each write op is sliced into crash points. *)
   let density = max 1 (int_of_float (4.0 *. scale)) in
-  let reports = Crash_sim.run_all ~density () in
+  let configs = Sweep.default_configs in
+  let reports =
+    List.map (fun c -> Sweep.sweep ~density (Sweep.log c)) configs
+  in
   let table =
     Table.create ~title
       ~columns:[ "config"; "crash points"; "injected crashes"; "violations" ]
@@ -23,22 +26,19 @@ let run ~scale ppf =
   List.iter
     (fun r ->
       Table.add_row table
-        [ r.Crash_sim.r_config.Crash_sim.label;
-          string_of_int r.Crash_sim.r_points;
-          string_of_int r.Crash_sim.r_runs;
-          string_of_int (List.length r.Crash_sim.r_violations) ])
+        [ r.Sweep.r_label;
+          string_of_int r.Sweep.r_points;
+          string_of_int r.Sweep.r_runs;
+          string_of_int (List.length r.Sweep.r_violations) ])
     reports;
   Format.fprintf ppf "%a@." Table.pp table;
   List.iter
     (fun r ->
-      if not (Crash_sim.ok r) then
-        Format.fprintf ppf "%a@." Crash_sim.pp_report r)
+      if not (Sweep.ok r) then Format.fprintf ppf "%a@." Sweep.pp_report r)
     reports;
-  let runs = List.fold_left (fun a r -> a + r.Crash_sim.r_runs) 0 reports in
+  let runs = List.fold_left (fun a r -> a + r.Sweep.r_runs) 0 reports in
   let bad =
-    List.fold_left
-      (fun a r -> a + List.length r.Crash_sim.r_violations)
-      0 reports
+    List.fold_left (fun a r -> a + List.length r.Sweep.r_violations) 0 reports
   in
   let open Workload in
   [ check ~label:"crash: every injected crash recovers prefix-consistently"
@@ -48,8 +48,6 @@ let run ~scale ppf =
            (List.length reports) bad);
     check ~label:"crash: sweep covers sync and async sinks"
       ~ok:
-        (List.exists (fun r -> r.Crash_sim.r_config.Crash_sim.async) reports
-        && List.exists
-             (fun r -> not r.Crash_sim.r_config.Crash_sim.async)
-             reports)
+        (List.exists (fun c -> c.Sweep.async) configs
+        && List.exists (fun c -> not c.Sweep.async) configs)
       ~detail:(Printf.sprintf "%d configs" (List.length reports)) ]

@@ -62,7 +62,7 @@ and t = {
   shard_tbl : shard_state array;
   open_tenants : (int, tenant) Hashtbl.t;
   mutable catalog : (int * string) list;  (* oldest first *)
-  mutable collided : Store.collision list;  (* newest first *)
+  mutable collided : Commit.collision list;  (* newest first *)
   mutable commit_batches : int;
   mutable committed_epochs : int;
   mutable latencies : float list;
@@ -111,29 +111,14 @@ let decode_catalog_entry s ~pos =
   ((id, name), In_stream.pos inp)
 
 let load_catalog vfs path =
-  let raw = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
-  let len = String.length raw in
-  let rec go acc pos =
-    if pos >= len then (List.rev acc, pos)
-    else
-      match decode_catalog_entry raw ~pos with
-      | e, next -> go (e :: acc) next
-      | exception In_stream.Corrupt _ -> (List.rev acc, pos)
-      | exception Invalid_argument _ -> (List.rev acc, pos)
-  in
-  let entries, valid = go [] 0 in
-  if valid < len then vfs.Vfs.truncate path ~len:valid;
-  entries
+  let r = Vfs.read_frames vfs path decode_catalog_entry in
+  if r.valid_len < String.length r.contents then
+    vfs.Vfs.truncate path ~len:r.valid_len;
+  r.frames
 
 let append_catalog vfs path entry =
-  let w = vfs.Vfs.open_append path in
-  (try
-     w.Vfs.write (encode_catalog_entry entry);
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ()
+  Vfs.write_durably (vfs.Vfs.open_append path) (fun write ->
+      write (encode_catalog_entry entry))
 
 let encode_meta ~shards ~records_per_chunk =
   let d = Out_stream.create () in
@@ -168,57 +153,11 @@ let load_meta vfs path =
     | exception Invalid_argument _ -> None
 
 let write_meta vfs path ~shards ~records_per_chunk =
-  let w = vfs.Vfs.open_trunc path in
-  (try
-     w.Vfs.write (encode_meta ~shards ~records_per_chunk);
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ()
+  Vfs.write_durably (vfs.Vfs.open_trunc path) (fun write ->
+      write (encode_meta ~shards ~records_per_chunk))
 
 (* ------------------------------------------------------------------ *)
 (* Open: sweep, truncate, validate per shard.                          *)
-
-(* Longest valid prefix of a shard's multiplexed entries: per-tenant
-   epochs contiguous with the tenant's first entry full, every chunk in
-   the pack, directory entries in range. Crash-consistent operation never
-   violates this (the pack batch is synced before the index batch), so
-   rejections are defensive — but a rejection cuts the whole shard file
-   there, preserving the prefix property for every tenant in it. *)
-let valid_mux_prefix pack ms =
-  let expected : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (m : Epoch_index.mux_entry) :: rest ->
-        let e = m.m_entry in
-        let ok =
-          (match Hashtbl.find_opt expected m.m_tenant with
-          | None -> e.kind = Segment.Full && e.epoch >= 0
-          | Some n -> e.epoch = n)
-          && List.for_all (fun k -> Pack.mem pack k) e.chunks
-          &&
-          let chunk_arr = Array.of_list e.chunks in
-          List.for_all
-            (fun { Epoch_index.d_chunk; d_off; _ } ->
-              d_chunk >= 0
-              && d_chunk < Array.length chunk_arr
-              && d_off >= 0
-              && d_off < Pack.chunk_len pack chunk_arr.(d_chunk))
-            e.dir
-        in
-        if ok then begin
-          Hashtbl.replace expected m.m_tenant (e.epoch + 1);
-          go (m :: acc) rest
-        end
-        else List.rev acc
-  in
-  go [] ms
-
-let mux_byte_length ms =
-  List.fold_left
-    (fun acc m -> acc + String.length (Epoch_index.encode_mux m))
-    0 ms
 
 let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
     ?(records_per_chunk = Chunk.default_records_per_chunk)
@@ -237,20 +176,11 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
   let catalog = load_catalog vfs (catalog_path root) in
   let shard_tbl =
     Array.init shards (fun i ->
+        (* A rejected entry cuts the whole shard file there, preserving the
+           prefix property for every tenant in it. *)
         let s_index_file = shard_index_path root i in
-        let loaded, valid_len = Epoch_index.load_mux vfs s_index_file in
-        let file_len =
-          if vfs.Vfs.exists s_index_file then
-            String.length (vfs.Vfs.read_file s_index_file)
-          else 0
-        in
-        if valid_len < file_len then
-          vfs.Vfs.truncate s_index_file ~len:valid_len;
-        let committed = valid_mux_prefix pack loaded in
-        if List.length committed < List.length loaded then
-          vfs.Vfs.truncate s_index_file ~len:(mux_byte_length committed);
         { s_index_file;
-          s_committed = committed;
+          s_committed = Commit.open_index vfs pack s_index_file Commit.mux;
           s_pending = [];
           s_pending_bytes = 0;
           s_batch = None })
@@ -287,76 +217,31 @@ let commit_batch_locked t sstate items =
   | [] -> ()
   | _ ->
       let pending : (int, string) Hashtbl.t = Hashtbl.create 16 in
-      let resolved_items =
+      let staged =
         List.map
           (fun it ->
-            ( it,
-              List.map
-                (fun (c : Chunk.t) -> (c, Pack.resolve t.pack ~pending c.data))
-                it.it_chunks ))
+            Commit.stage t.pack ~pending ~kind:it.it_kind ~epoch:it.it_seq
+              ~roots:it.it_roots it.it_chunks)
           items
       in
-      let fresh =
-        List.concat_map
-          (fun (_, rs) ->
-            List.filter_map
-              (fun ((c : Chunk.t), r) ->
-                match r with
-                | Pack.Fresh { key; _ } -> Some (key, c.data)
-                | Pack.Dup _ -> None)
-              rs)
-          resolved_items
-      in
-      ignore (Pack.append_batch t.pack fresh : int);
+      ignore
+        (Pack.append_batch t.pack
+           (List.concat_map (fun (st : Commit.staged) -> st.fresh) staged)
+          : int);
       let muxes =
-        List.map
-          (fun (it, rs) ->
-            let dir =
-              List.concat
-                (List.mapi
-                   (fun i (c : Chunk.t) ->
-                     List.map
-                       (fun (id, off) ->
-                         { Epoch_index.d_id = id; d_chunk = i; d_off = off })
-                       c.records)
-                   it.it_chunks)
-            in
-            let chunks =
-              List.map
-                (fun (_, r) ->
-                  match r with
-                  | Pack.Dup k -> k
-                  | Pack.Fresh { key; _ } -> key)
-                rs
-            in
-            { Epoch_index.m_tenant = it.it_tenant.t_id;
-              m_entry =
-                { Epoch_index.epoch = it.it_seq;
-                  kind = it.it_kind;
-                  roots = it.it_roots;
-                  chunks;
-                  dir } })
-          resolved_items
+        List.map2
+          (fun it (st : Commit.staged) ->
+            { Epoch_index.m_tenant = it.it_tenant.t_id; m_entry = st.entry })
+          items staged
       in
       Epoch_index.append_mux_batch t.vfs sstate.s_index_file muxes;
       (* Durable; mirror in memory. *)
       sstate.s_committed <- sstate.s_committed @ muxes;
       List.iter2
-        (fun (it, rs) (m : Epoch_index.mux_entry) ->
-          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ m.m_entry ];
-          List.iter
-            (fun ((c : Chunk.t), r) ->
-              match r with
-              | Pack.Fresh { key; attempt } when attempt > 0 ->
-                  t.collided <-
-                    { Store.col_epoch = it.it_seq;
-                      col_content_key = c.key;
-                      col_stored_key = key;
-                      col_attempt = attempt }
-                    :: t.collided
-              | _ -> ())
-            rs)
-        resolved_items muxes;
+        (fun it (st : Commit.staged) ->
+          it.it_tenant.t_entries <- it.it_tenant.t_entries @ [ st.entry ];
+          t.collided <- List.rev_append st.collisions t.collided)
+        items staged;
       let now = Unix.gettimeofday () in
       List.iter
         (fun it -> t.latencies <- (now -. it.it_enq) :: t.latencies)
@@ -442,10 +327,6 @@ let submit tenant (seg : Segment.t) =
 (* ------------------------------------------------------------------ *)
 (* Tenants.                                                            *)
 
-let segment_of_entry t (e : Epoch_index.entry) =
-  let body = String.concat "" (List.map (fun k -> Pack.read t.pack k) e.chunks) in
-  { Segment.kind = e.kind; seq = e.epoch; roots = e.roots; body }
-
 let open_tenant t schema ~name =
   check_open t;
   let id = tenant_id name in
@@ -473,24 +354,7 @@ let open_tenant t schema ~name =
               t.shard_tbl.(shard).s_committed
           in
           let chain = Chain.create schema in
-          (match entries with
-          | [] -> ()
-          | _ ->
-              (* Resume the chain from the newest full epoch: a full is
-                 self-contained, so the chain accepts it at any seq and the
-                 incrementals after it replay on top. *)
-              let base =
-                List.fold_left
-                  (fun acc (e : Epoch_index.entry) ->
-                    if e.kind = Segment.Full then e.epoch else acc)
-                  (match entries with e :: _ -> e.epoch | [] -> 0)
-                  entries
-              in
-              List.iter
-                (fun (e : Epoch_index.entry) ->
-                  if e.epoch >= base then
-                    Chain.append chain (segment_of_entry t e))
-                entries);
+          List.iter (Chain.append chain) (Commit.resume t.pack entries);
           let tn =
             { t_svc = t;
               t_id = id;
@@ -623,55 +487,22 @@ let stats t =
 
 let check t =
   with_lock t (fun () ->
-      let errs = ref [] in
-      let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-      let tenant_label id =
-        match List.assoc_opt id t.catalog with
-        | Some name -> Printf.sprintf "%S" name
-        | None -> Hash64.to_hex id
+      let label (m : Epoch_index.mux_entry) =
+        match List.assoc_opt m.m_tenant t.catalog with
+        | Some name -> Printf.sprintf "tenant %S " name
+        | None -> Printf.sprintf "tenant %s " (Hash64.to_hex m.m_tenant)
       in
-      Array.iteri
-        (fun si s ->
-          let expected : (int, int) Hashtbl.t = Hashtbl.create 16 in
-          List.iter
-            (fun (m : Epoch_index.mux_entry) ->
-              let e = m.m_entry in
-              let who = tenant_label m.m_tenant in
-              if Shard.of_id ~shards:t.shards m.m_tenant <> si then
-                err "tenant %s committed on shard %d, hashes to %d" who si
-                  (Shard.of_id ~shards:t.shards m.m_tenant);
-              (match Hashtbl.find_opt expected m.m_tenant with
-              | None ->
-                  if e.kind <> Segment.Full then
-                    err "tenant %s: oldest epoch %d is not full" who e.epoch
-              | Some n when e.epoch <> n ->
-                  err "tenant %s: epoch %d follows %d" who e.epoch (n - 1)
-              | Some _ -> ());
-              Hashtbl.replace expected m.m_tenant (e.epoch + 1);
-              let chunk_arr = Array.of_list e.chunks in
-              Array.iter
-                (fun k ->
-                  if not (Pack.mem t.pack k) then
-                    err "tenant %s epoch %d references missing chunk %s" who
-                      e.epoch (Hash64.to_hex k)
-                  else if not (Chunk.key_matches k (Pack.read t.pack k)) then
-                    err "chunk %s content does not match its key"
-                      (Hash64.to_hex k))
-                chunk_arr;
-              List.iter
-                (fun { Epoch_index.d_id; d_chunk; d_off } ->
-                  if d_chunk < 0 || d_chunk >= Array.length chunk_arr then
-                    err "tenant %s epoch %d: record %d chunk index %d/%d" who
-                      e.epoch d_id d_chunk (Array.length chunk_arr)
-                  else
-                    let k = chunk_arr.(d_chunk) in
-                    if
-                      Pack.mem t.pack k
-                      && (d_off < 0 || d_off >= Pack.chunk_len t.pack k)
-                    then
-                      err "tenant %s epoch %d: record %d offset %d out of range"
-                        who e.epoch d_id d_off)
-                e.dir)
-            s.s_committed)
-        t.shard_tbl;
-      List.rev !errs)
+      List.concat
+        (List.mapi
+           (fun si s ->
+             List.filter_map
+               (fun (m : Epoch_index.mux_entry) ->
+                 let hashed = Shard.of_id ~shards:t.shards m.m_tenant in
+                 if hashed = si then None
+                 else
+                   Some
+                     (Printf.sprintf "%scommitted on shard %d, hashes to %d"
+                        (label m) si hashed))
+               s.s_committed
+             @ Commit.check t.pack Commit.mux ~label s.s_committed)
+           (Array.to_list t.shard_tbl)))

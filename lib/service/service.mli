@@ -36,7 +36,10 @@
     one sync, so a power loss mid-batch truncates whole index entries off
     the tail and every tenant independently recovers to a committed prefix
     of its own epochs — invariant I7, extended; swept by
-    [Ickpt_faultsim.Service_sim].
+    [Ickpt_faultsim.Sweep.service]. Staging, shard validation on open,
+    {!check} and tenant resume run on the {!Ickpt_cas.Commit} core shared
+    with {!Ickpt_cas.Store}; this module owns the per-shard multiplexed
+    layout, the catalog and batching.
 
     Thread-safety: one global lock serializes pack access and commits;
     chunk splitting (the CPU-heavy part) happens outside it on the calling

@@ -84,38 +84,16 @@ let decode s ~pos =
   (e, In_stream.pos inp)
 
 let load vfs path =
-  let raw = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
-  let len = String.length raw in
-  let rec go acc pos =
-    if pos >= len then (List.rev acc, pos)
-    else
-      match decode raw ~pos with
-      | e, next -> go (e :: acc) next
-      | exception In_stream.Corrupt _ -> (List.rev acc, pos)
-      | exception Invalid_argument _ -> (List.rev acc, pos)
-  in
-  go [] 0
+  let r = Vfs.read_frames vfs path decode in
+  (r.frames, r.valid_len)
 
 let append vfs path e =
-  let w = vfs.Vfs.open_append path in
-  (try
-     w.Vfs.write (encode e);
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ()
+  Vfs.write_durably (vfs.Vfs.open_append path) (fun write -> write (encode e))
 
 let write_staged vfs ~path entries =
   let tmp = Storage.temp_of ~path in
-  let w = vfs.Vfs.open_trunc tmp in
-  (try
-     List.iter (fun e -> w.Vfs.write (encode e)) entries;
-     w.Vfs.sync ()
-   with exn ->
-     w.Vfs.close ();
-     raise exn);
-  w.Vfs.close ();
+  Vfs.write_durably (vfs.Vfs.open_trunc tmp) (fun write ->
+      List.iter (fun e -> write (encode e)) entries);
   tmp
 
 (* ------------------------------------------------------------------ *)
@@ -154,17 +132,8 @@ let decode_mux s ~pos =
   ({ m_tenant; m_entry = e }, In_stream.pos inp)
 
 let load_mux vfs path =
-  let raw = if vfs.Vfs.exists path then vfs.Vfs.read_file path else "" in
-  let len = String.length raw in
-  let rec go acc pos =
-    if pos >= len then (List.rev acc, pos)
-    else
-      match decode_mux raw ~pos with
-      | m, next -> go (m :: acc) next
-      | exception In_stream.Corrupt _ -> (List.rev acc, pos)
-      | exception Invalid_argument _ -> (List.rev acc, pos)
-  in
-  go [] 0
+  let r = Vfs.read_frames vfs path decode_mux in
+  (r.frames, r.valid_len)
 
 let append_mux_batch vfs path ms =
   match ms with
@@ -172,11 +141,5 @@ let append_mux_batch vfs path ms =
   | _ ->
       let buf = Buffer.create 4096 in
       List.iter (fun m -> Buffer.add_string buf (encode_mux m)) ms;
-      let w = vfs.Vfs.open_append path in
-      (try
-         w.Vfs.write (Buffer.contents buf);
-         w.Vfs.sync ()
-       with exn ->
-         w.Vfs.close ();
-         raise exn);
-      w.Vfs.close ()
+      Vfs.write_durably (vfs.Vfs.open_append path) (fun write ->
+          write (Buffer.contents buf))

@@ -45,6 +45,11 @@ type entry = {
 
 val encode : entry -> string
 
+val decode : string -> pos:int -> entry * int
+(** The entry at [pos] and the offset after it.
+    @raise Ickpt_stream.In_stream.Corrupt on anything short of an intact
+    entry. *)
+
 val load : Vfs.t -> string -> entry list * int
 (** Every intact entry (file order) and the byte offset of the first
     undecodable one — the safe truncation point. A missing file is the
@@ -74,6 +79,9 @@ val write_staged : Vfs.t -> path:string -> entry list -> string
 type mux_entry = { m_tenant : int; m_entry : entry }
 
 val encode_mux : mux_entry -> string
+
+val decode_mux : string -> pos:int -> mux_entry * int
+(** As {!decode}, for a multiplexed entry. *)
 
 val load_mux : Vfs.t -> string -> mux_entry list * int
 (** Every intact multiplexed entry (file order) and the byte offset of the

@@ -23,7 +23,7 @@ let encode_frame key body =
   Out_stream.write_fixed32 d crc;
   Out_stream.contents d
 
-(* Decode one frame at [pos]; returns (key, body offset, body len, end pos).
+(* Decode one frame at [pos]; returns ((key, body offset, body len), end pos).
    Raises In_stream.Corrupt on anything short of an intact frame. *)
 let decode_frame s ~pos =
   let inp = In_stream.of_string_at s ~pos in
@@ -39,32 +39,27 @@ let decode_frame s ~pos =
   let crc = In_stream.read_fixed32 inp in
   if crc <> Crc32.sub s ~pos ~len:(body_end - pos) then
     raise (In_stream.Corrupt (Printf.sprintf "pack crc mismatch at %d" pos));
-  (key, body_end - String.length body, String.length body, In_stream.pos inp)
+  ((key, body_end - String.length body, String.length body), In_stream.pos inp)
 
 let load t =
   Hashtbl.reset t.tbl;
   t.order <- [];
-  let raw = if t.vfs.Vfs.exists t.file then t.vfs.Vfs.read_file t.file else "" in
-  let len = String.length raw in
-  let rec go pos =
-    if pos >= len then pos
-    else
-      match decode_frame raw ~pos with
-      | key, off, blen, next ->
-          if not (Hashtbl.mem t.tbl key) then begin
-            Hashtbl.replace t.tbl key (off, blen);
-            t.order <- key :: t.order
-          end;
-          go next
-      | exception In_stream.Corrupt _ -> pos
-      | exception Invalid_argument _ -> pos
-  in
-  let valid = go 0 in
+  let r = Vfs.read_frames t.vfs t.file decode_frame in
+  List.iter
+    (fun (key, off, blen) ->
+      if not (Hashtbl.mem t.tbl key) then begin
+        Hashtbl.replace t.tbl key (off, blen);
+        t.order <- key :: t.order
+      end)
+    r.frames;
   (* Cut a torn tail off before the next append, exactly as Storage does
      for the segment log: garbage after the intact prefix would make every
      later frame unreachable. *)
-  if valid < len then t.vfs.Vfs.truncate t.file ~len:valid;
-  t.data <- (if valid = len then raw else String.sub raw 0 valid)
+  if r.valid_len < String.length r.contents then begin
+    t.vfs.Vfs.truncate t.file ~len:r.valid_len;
+    t.data <- String.sub r.contents 0 r.valid_len
+  end
+  else t.data <- r.contents
 
 let open_ ?(vfs = Vfs.real) file =
   let t = { vfs; file; data = ""; tbl = Hashtbl.create 256; order = [] } in
@@ -102,21 +97,15 @@ let append_batch t batch =
       List.iter (fun (key, body) -> Buffer.add_string buf (encode_frame key body))
         batch;
       let frames = Buffer.contents buf in
-      let w = t.vfs.Vfs.open_append t.file in
-      (try
-         w.Vfs.write frames;
-         w.Vfs.sync ()
-       with e ->
-         w.Vfs.close ();
-         raise e);
-      w.Vfs.close ();
+      Vfs.write_durably (t.vfs.Vfs.open_append t.file) (fun write ->
+          write frames);
       (* Mirror the append in memory. *)
       let base = String.length t.data in
       t.data <- t.data ^ frames;
       let pos = ref base in
       List.iter
         (fun (key, _) ->
-          let k, off, blen, next = decode_frame t.data ~pos:!pos in
+          let (k, off, blen), next = decode_frame t.data ~pos:!pos in
           assert (k = key);
           Hashtbl.replace t.tbl key (off, blen);
           t.order <- key :: t.order;
@@ -157,14 +146,8 @@ let resolve t ~pending data =
 
 let stage_rewrite t ~keep =
   let tmp = Storage.temp_of ~path:t.file in
-  let w = t.vfs.Vfs.open_trunc tmp in
-  (try
-     List.iter
-       (fun key -> if keep key then w.Vfs.write (encode_frame key (read t key)))
-       (keys t);
-     w.Vfs.sync ()
-   with e ->
-     w.Vfs.close ();
-     raise e);
-  w.Vfs.close ();
+  Vfs.write_durably (t.vfs.Vfs.open_trunc tmp) (fun write ->
+      List.iter
+        (fun key -> if keep key then write (encode_frame key (read t key)))
+        (keys t));
   tmp

@@ -9,7 +9,7 @@ let pack_path path = path ^ ".pack"
 
 let index_path path = path ^ ".idx"
 
-type collision = {
+type collision = Commit.collision = {
   col_epoch : int;
   col_content_key : int;
   col_stored_key : int;
@@ -33,44 +33,6 @@ let schema t = t.schema
 (* ------------------------------------------------------------------ *)
 (* Open: sweep, truncate, validate.                                    *)
 
-(* The index prefix made of the first [n] entries, as bytes — encoding is
-   deterministic, so this is exactly the on-disk prefix to keep when
-   validation rejects entry [n]. *)
-let entries_byte_length entries n =
-  let rec go acc i = function
-    | e :: rest when i < n ->
-        go (acc + String.length (Epoch_index.encode e)) (i + 1) rest
-    | _ -> acc
-  in
-  go 0 0 entries
-
-(* Longest valid prefix of the loaded entries: epochs contiguous, oldest
-   full, every chunk present in the pack, directory entries in range.
-   Crash-consistent operation never produces a violation (the pack is
-   synced before the entry commits), so rejections are defensive. *)
-let valid_prefix pack entries =
-  let rec go acc expected = function
-    | [] -> List.rev acc
-    | (e : Epoch_index.entry) :: rest ->
-        let ok =
-          (match expected with
-          | None -> e.kind = Segment.Full && e.epoch >= 0
-          | Some n -> e.epoch = n)
-          && List.for_all (fun k -> Pack.mem pack k) e.chunks
-          &&
-          let chunk_arr = Array.of_list e.chunks in
-          List.for_all
-            (fun { Epoch_index.d_chunk; d_off; _ } ->
-              d_chunk >= 0
-              && d_chunk < Array.length chunk_arr
-              && d_off >= 0
-              && d_off < Pack.chunk_len pack chunk_arr.(d_chunk))
-            e.dir
-        in
-        if ok then go (e :: acc) (Some (e.epoch + 1)) rest else List.rev acc
-  in
-  go [] None entries
-
 let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chunk)
     schema ~path:root =
   if records_per_chunk < 1 then invalid_arg "Store.open_: records_per_chunk";
@@ -83,16 +45,7 @@ let open_ ?(vfs = Vfs.real) ?(records_per_chunk = Chunk.default_records_per_chun
       if vfs.Vfs.exists tmp then vfs.Vfs.remove tmp)
     [ pack_file; index_file ];
   let pack = Pack.open_ ~vfs pack_file in
-  let loaded, valid_len = Epoch_index.load vfs index_file in
-  let file_len =
-    if vfs.Vfs.exists index_file then String.length (vfs.Vfs.read_file index_file)
-    else 0
-  in
-  if valid_len < file_len then vfs.Vfs.truncate index_file ~len:valid_len;
-  let entries = valid_prefix pack loaded in
-  if List.length entries < List.length loaded then
-    vfs.Vfs.truncate index_file
-      ~len:(entries_byte_length loaded (List.length entries));
+  let entries = Commit.open_index vfs pack index_file Commit.plain in
   { vfs; root; schema; records_per_chunk; pack; entries; collided = [] }
 
 (* ------------------------------------------------------------------ *)
@@ -137,67 +90,20 @@ let append_segment t (seg : Segment.t) =
       let latest = Option.get (latest_epoch t) in
       if seg.seq <> latest + 1 then
         error "segment seq %d, expected %d" seg.seq (latest + 1));
-  let chunks = Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body in
-  (* Dedup: a key hit is only a duplicate if the bytes agree — the 63-bit
-     hash makes a collision negligible but not impossible, and a silent one
-     would corrupt the epoch. Pack.resolve byte-verifies every hit and, on
-     a genuine collision, degrades gracefully to a salted rehash instead of
-     refusing the append (a shared pack must not die on one tenant's
-     pathological chunk). Collisions are recorded for the caller to
-     surface. *)
-  let pending : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let resolved =
-    List.map (fun (c : Chunk.t) -> (c, Pack.resolve t.pack ~pending c.data)) chunks
+  let chunks =
+    Chunk.split ~records_per_chunk:t.records_per_chunk t.schema seg.body
   in
-  let key_of_resolution = function
-    | Pack.Dup k -> k
-    | Pack.Fresh { key; _ } -> key
+  let { Commit.entry; fresh; collisions } =
+    Commit.stage t.pack ~pending:(Hashtbl.create 16) ~kind:seg.kind
+      ~epoch:seg.seq ~roots:seg.roots chunks
   in
-  let fresh =
-    List.filter_map
-      (fun ((c : Chunk.t), r) ->
-        match r with
-        | Pack.Dup _ -> None
-        | Pack.Fresh { key; _ } -> Some (key, c.data))
-      resolved
-  in
-  let salted =
-    List.filter_map
-      (fun ((c : Chunk.t), r) ->
-        match r with
-        | Pack.Fresh { key; attempt } when attempt > 0 ->
-            Some
-              { col_epoch = seg.seq;
-                col_content_key = c.key;
-                col_stored_key = key;
-                col_attempt = attempt }
-        | _ -> None)
-      resolved
-  in
-  t.collided <- List.rev_append salted t.collided;
+  t.collided <- List.rev_append collisions t.collided;
   let pack_bytes = Pack.append_batch t.pack fresh in
-  let dir =
-    List.concat
-      (List.mapi
-         (fun i (c : Chunk.t) ->
-           List.map
-             (fun (id, off) ->
-               { Epoch_index.d_id = id; d_chunk = i; d_off = off })
-             c.records)
-         chunks)
-  in
-  let entry =
-    { Epoch_index.epoch = seg.seq;
-      kind = seg.kind;
-      roots = seg.roots;
-      chunks = List.map (fun (_, r) -> key_of_resolution r) resolved;
-      dir }
-  in
   Epoch_index.append t.vfs (index_path t.root) entry;
   t.entries <- t.entries @ [ entry ];
   { chunks_total = List.length chunks;
     chunks_new = List.length fresh;
-    chunks_salted = List.length salted;
+    chunks_salted = List.length collisions;
     bytes_logical = String.length seg.body;
     bytes_written = pack_bytes + String.length (Epoch_index.encode entry) }
 
@@ -206,12 +112,7 @@ let collisions t = List.rev t.collided
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)
 
-let segment_of_epoch t epoch =
-  let e = entry_at t epoch in
-  let body =
-    String.concat "" (List.map (fun k -> Pack.read t.pack k) e.chunks)
-  in
-  { Segment.kind = e.kind; seq = e.epoch; roots = e.roots; body }
+let segment_of_epoch t epoch = Commit.segment t.pack (entry_at t epoch)
 
 (* The resolved per-object directory at [epoch]: id -> (chunk key, byte
    offset). The fold itself lives in {!Dir} so the multi-tenant service can
@@ -219,17 +120,6 @@ let segment_of_epoch t epoch =
 let dir_at t ~epoch =
   ignore (entry_at t epoch : Epoch_index.entry);
   Dir.fold ~entries:t.entries ~epoch
-
-let record_of_pointer t cache (key, off) =
-  let data =
-    match Hashtbl.find_opt cache key with
-    | Some d -> d
-    | None ->
-        let d = Pack.read t.pack key in
-        Hashtbl.replace cache key d;
-        d
-  in
-  Restore.record_at t.schema data ~pos:off
 
 let restore t ~epoch =
   ignore (entry_at t epoch : Epoch_index.entry);
@@ -240,8 +130,7 @@ let restore t ~epoch =
 
 let diff t a b =
   let da = dir_at t ~epoch:a and db = dir_at t ~epoch:b in
-  let cache = Hashtbl.create 64 in
-  let record = record_of_pointer t cache in
+  let record = Dir.record (Dir.reader t.pack t.schema) in
   let changes = ref [] in
   let add c = changes := c :: !changes in
   Hashtbl.iter
@@ -410,68 +299,20 @@ let salted_chunks t =
     (Pack.keys t.pack)
 
 let check t =
-  let errs = ref [] in
-  let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
-  (match t.entries with
-  | [] -> ()
-  | first :: _ ->
-      if first.kind <> Segment.Full then
-        err "oldest epoch %d is not full" first.Epoch_index.epoch);
-  let expected = ref None in
-  List.iter
-    (fun (e : Epoch_index.entry) ->
-      (match !expected with
-      | Some n when e.epoch <> n -> err "epoch %d follows %d" e.epoch (n - 1)
-      | _ -> ());
-      expected := Some (e.epoch + 1);
-      let chunk_arr = Array.of_list e.chunks in
-      Array.iteri
-        (fun i k ->
-          if not (Pack.mem t.pack k) then
-            err "epoch %d references missing chunk %s" e.epoch
-              (Ickpt_stream.Hash64.to_hex k)
-          else if not (Chunk.key_matches k (Pack.read t.pack k)) then
-            err "chunk %s content does not match its key"
-              (Ickpt_stream.Hash64.to_hex k)
-          else ignore i)
-        chunk_arr;
-      List.iter
-        (fun { Epoch_index.d_id; d_chunk; d_off } ->
-          if d_chunk < 0 || d_chunk >= Array.length chunk_arr then
-            err "epoch %d: record %d points at chunk index %d/%d" e.epoch d_id
-              d_chunk (Array.length chunk_arr)
-          else
-            let k = chunk_arr.(d_chunk) in
-            if
-              Pack.mem t.pack k
-              && (d_off < 0 || d_off >= Pack.chunk_len t.pack k)
-            then err "epoch %d: record %d offset %d out of range" e.epoch d_id d_off)
-        e.dir)
-    t.entries;
-  List.iter
-    (fun (k, n) ->
-      if n < 0 then
-        err "chunk %s has negative refcount" (Ickpt_stream.Hash64.to_hex k))
-    (refcounts t);
-  List.rev !errs
+  Commit.check t.pack Commit.plain ~label:(fun _ -> "") t.entries
+  @ List.filter_map
+      (fun (k, n) ->
+        if n < 0 then
+          Some
+            (Printf.sprintf "chunk %s has negative refcount"
+               (Ickpt_stream.Hash64.to_hex k))
+        else None)
+      (refcounts t)
 
 (* ------------------------------------------------------------------ *)
 (* Manager integration.                                                *)
 
-let resume_suffix t =
-  match latest_epoch t with
-  | None -> []
-  | Some latest ->
-      let base =
-        List.fold_left
-          (fun acc (e : Epoch_index.entry) ->
-            if e.kind = Segment.Full then e.epoch else acc)
-          latest t.entries
-      in
-      List.filter_map
-        (fun (e : Epoch_index.entry) ->
-          if e.epoch >= base then Some (segment_of_epoch t e.epoch) else None)
-        t.entries
+let resume_suffix t = Commit.resume t.pack t.entries
 
 let manager_sink t =
   { Manager.sink_append = (fun seg -> ignore (append_segment t seg));

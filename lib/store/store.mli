@@ -14,7 +14,12 @@
     append leaves a torn tail that reopening truncates. So after a crash
     at {e any} byte of {e any} operation the store reopens to a committed
     epoch prefix — the extension of invariant I7 exercised by
-    [Ickpt_faultsim.Store_sim].
+    [Ickpt_faultsim.Sweep.store].
+
+    Staging an epoch, validating the index on open, {!check} and the
+    resume suffix are the {!Commit} core, shared with the multi-tenant
+    service; this module owns the plain one-chain [.idx] layout, retention
+    and diff.
 
     {!gc} rewrites both files through staged temps and commits by renaming
     the {e index first}: every chunk referenced by the old index is also in
@@ -71,7 +76,7 @@ val append_segment : t -> Segment.t -> append_stats
     and the event recorded ({!collisions}).
     @raise Error on kind/sequence violations. *)
 
-type collision = {
+type collision = Commit.collision = {
   col_epoch : int;  (** epoch whose append hit the collision *)
   col_content_key : int;  (** the chunk's true content key, already taken *)
   col_stored_key : int;  (** the salted key the chunk was stored under *)

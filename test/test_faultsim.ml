@@ -296,20 +296,43 @@ let fuzz_decode_garbage =
 
 let sweep_smoke () =
   let configs =
-    [ Crash_sim.config Policy.Incremental_after_base;
-      Crash_sim.config ~async:true ~compact_above:3 (Policy.Full_every 2);
-      Crash_sim.config ~pre_torn:true Policy.Incremental_after_base ]
+    [ Sweep.config Policy.Incremental_after_base;
+      Sweep.config ~async:true ~compact_above:3 (Policy.Full_every 2);
+      Sweep.config ~pre_torn:true Policy.Incremental_after_base ]
   in
   List.iter
     (fun cfg ->
-      let r = Crash_sim.sweep ~rounds:3 ~density:0 cfg in
-      if not (Crash_sim.ok r) then
-        Alcotest.failf "crash sweep violations:@.%a" Crash_sim.pp_report r;
+      let r = Sweep.sweep ~rounds:3 ~density:0 (Sweep.log cfg) in
+      if not (Sweep.ok r) then
+        Alcotest.failf "crash sweep violations:@.%a" Sweep.pp_report r;
       Alcotest.(check bool)
-        (cfg.Crash_sim.label ^ ": sweep injected crashes")
+        (cfg.Sweep.label ^ ": sweep injected crashes")
         true
-        (r.Crash_sim.r_runs > 0))
+        (r.Sweep.r_runs > 0))
     configs
+
+(* The full default sweep (what [ickpt_bench crash] runs), pinned point
+   for point: a refactor that silently enumerates fewer crash points, or
+   an op trace that changes shape, fails here. *)
+let sweep_default_sizes () =
+  let expected (c : Sweep.config) =
+    if c.async && c.compact_above > 0 && c.pre_torn then (70, 210)
+    else if c.compact_above > 0 || c.pre_torn then (50, 150)
+    else (40, 120)
+  in
+  Alcotest.(check int) "default configs" 18 (List.length Sweep.default_configs);
+  let total =
+    List.fold_left
+      (fun total (c : Sweep.config) ->
+        let r = Sweep.sweep (Sweep.log c) in
+        if not (Sweep.ok r) then
+          Alcotest.failf "crash sweep violations:@.%a" Sweep.pp_report r;
+        Alcotest.(check (pair int int))
+          (c.label ^ ": points, runs") (expected c) (r.r_points, r.r_runs);
+        total + r.r_runs)
+      0 Sweep.default_configs
+  in
+  Alcotest.(check int) "injected crashes" 2520 total
 
 let suites =
   [ ( "faultsim.sim",
@@ -329,4 +352,6 @@ let suites =
         QCheck_alcotest.to_alcotest fuzz_decode_all;
         QCheck_alcotest.to_alcotest fuzz_decode_garbage ] );
     ( "faultsim.sweep",
-      [ Alcotest.test_case "smoke (3 configs)" `Quick sweep_smoke ] ) ]
+      [ Alcotest.test_case "smoke (3 configs)" `Quick sweep_smoke;
+        Alcotest.test_case "default sizes (18 configs)" `Quick
+          sweep_default_sizes ] ) ]

@@ -417,6 +417,67 @@ let service_salted_collision () =
   check_bool "service checks clean" true (Service.check svc = []);
   Service.close svc
 
+(* Store and a one-tenant service run the same commit core: fed the same
+   segments (one chunk forced through the salted-rehash path by the same
+   poisoned pack), they must commit equal index entries and equal
+   collision records — epoch for epoch, chunk key for chunk key. *)
+let store_and_service_commit_alike () =
+  let vfs = fresh_vfs () in
+  let w = make_world ~offset:0 in
+  let c0 =
+    List.hd (Chunk.split ~records_per_chunk:4 w.schema (full_body w.roots))
+  in
+  List.iter
+    (fun path ->
+      let pack = Pack.open_ ~vfs path in
+      ignore (Pack.append_batch pack [ (c0.Chunk.key, "poison") ] : int))
+    [ Store.pack_path "s"; Service.pack_path "svc" ];
+  let store = Store.open_ ~vfs ~records_per_chunk:4 w.schema ~path:"s" in
+  let svc =
+    Service.open_ ~vfs ~shards:2 ~records_per_chunk:4
+      ~commit:
+        (Service.Group
+           { Async_writer.Batch.max_items = 3; max_bytes = max_int; linger = 0. })
+      ~path:"svc" ()
+  in
+  let tn = Service.open_tenant svc w.schema ~name:"solo" in
+  let chain = Chain.create w.schema in
+  for r = 0 to 7 do
+    if r > 0 then w.mutate r;
+    let taken =
+      match Policy.decide (Policy.Full_every 3) chain with
+      | Segment.Full -> Chain.take_full chain w.roots
+      | Segment.Incremental -> Chain.take_incremental chain w.roots
+    in
+    ignore (Store.append_segment store taken.Chain.segment : Store.append_stats);
+    ignore (Service.append tn taken.Chain.segment : int)
+  done;
+  Service.flush svc;
+  let store_entries = List.map (Store.entry_at store) (Store.epochs store) in
+  let service_entries =
+    List.filter_map
+      (fun (m : Epoch_index.mux_entry) ->
+        if m.m_tenant = Service.tenant_id "solo" then Some m.m_entry else None)
+      (fst
+         (Epoch_index.load_mux vfs
+            (Service.shard_index_path "svc" (Service.tenant_shard tn))))
+  in
+  check_int "store epochs" 8 (List.length store_entries);
+  check_int "service epochs" 8 (List.length service_entries);
+  List.iter2
+    (fun (a : Epoch_index.entry) (b : Epoch_index.entry) ->
+      let what = Printf.sprintf "epoch %d " a.epoch in
+      check_int (what ^ "epoch") a.epoch b.epoch;
+      check_bool (what ^ "kind") true (a.kind = b.kind);
+      check_bool (what ^ "roots") true (a.roots = b.roots);
+      check_bool (what ^ "chunks") true (a.chunks = b.chunks);
+      check_bool (what ^ "dir") true (a.dir = b.dir))
+    store_entries service_entries;
+  check_bool "a collision was salted" true (Store.collisions store <> []);
+  check_bool "equal collision records" true
+    (Store.collisions store = Service.collisions svc);
+  Service.close svc
+
 (* ------------------------------------------------------------------ *)
 (* Property: any interleaving of tenants across domains restores every
    tenant byte-identically to running alone on a private store.        *)
@@ -503,12 +564,16 @@ let prop_interleaving =
    one; here a reduced-density pass).                                  *)
 
 let sweep_smoke () =
-  let r = Service_sim.sweep ~rounds:4 ~density:1 () in
-  if not (Service_sim.ok r) then Alcotest.failf "%a" Service_sim.pp_report r;
-  check_bool
-    (Printf.sprintf "swept a real number of points (%d)" r.Service_sim.r_points)
-    true
-    (r.Service_sim.r_points > 50)
+  let r = Sweep.sweep ~rounds:4 ~density:1 Sweep.service in
+  if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
+  check_int "points" 63 r.Sweep.r_points;
+  check_int "runs" 189 r.Sweep.r_runs
+
+let sweep_default_sizes () =
+  let r = Sweep.sweep Sweep.service in
+  if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
+  check_int "points" 72 r.Sweep.r_points;
+  check_int "runs" 216 r.Sweep.r_runs
 
 let suites =
   [ ( "service.shard",
@@ -522,8 +587,11 @@ let suites =
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick
-          service_salted_collision ] );
+          service_salted_collision;
+        Alcotest.test_case "store and service commit alike" `Quick
+          store_and_service_commit_alike ] );
     ( "service.property",
       [ QCheck_alcotest.to_alcotest prop_interleaving ] );
     ( "service.sweep",
-      [ Alcotest.test_case "smoke" `Quick sweep_smoke ] ) ]
+      [ Alcotest.test_case "smoke" `Quick sweep_smoke;
+        Alcotest.test_case "default sizes" `Quick sweep_default_sizes ] ) ]

@@ -572,10 +572,16 @@ let stale_temp_sweep () =
 (* The crash sweep (extended invariant I7).                           *)
 
 let store_sweep_smoke () =
-  let r = Store_sim.sweep ~rounds:4 ~density:1 () in
-  if not (Store_sim.ok r) then
-    Alcotest.failf "%a" Store_sim.pp_report r;
-  check_bool "swept a real number of points" true (r.Store_sim.r_points > 50)
+  let r = Sweep.sweep ~rounds:4 ~density:1 Sweep.store in
+  if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
+  check_int "points" 56 r.Sweep.r_points;
+  check_int "runs" 168 r.Sweep.r_runs
+
+let store_sweep_default_sizes () =
+  let r = Sweep.sweep Sweep.store in
+  if not (Sweep.ok r) then Alcotest.failf "%a" Sweep.pp_report r;
+  check_int "points" 80 r.Sweep.r_points;
+  check_int "runs" 240 r.Sweep.r_runs
 
 (* ------------------------------------------------------------------ *)
 (* QCheck satellite: random synth heaps, all four policies.           *)
@@ -687,6 +693,8 @@ let suites =
         Alcotest.test_case "stale temp sweep (regression)" `Quick
           stale_temp_sweep ] );
     ( "store.sweep",
-      [ Alcotest.test_case "crash sweep smoke" `Slow store_sweep_smoke ] );
+      [ Alcotest.test_case "crash sweep smoke" `Slow store_sweep_smoke;
+        Alcotest.test_case "crash sweep default sizes" `Slow
+          store_sweep_default_sizes ] );
     ( "store.property", [ QCheck_alcotest.to_alcotest restore_roundtrip_prop ] )
   ]

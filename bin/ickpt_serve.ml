@@ -44,24 +44,15 @@ let commit_conv =
              { Async_writer.Batch.max_items = 8;
                max_bytes = 1 lsl 20;
                linger = 0. })
-    | "group-async" ->
-        Ok
-          (Service.Group_async
-             { Async_writer.Batch.max_items = 8;
-               max_bytes = 1 lsl 20;
-               linger = 0.001 })
     | s ->
         Error
-          (`Msg
-             (Printf.sprintf
-                "unknown commit mode %S (per-epoch, group, group-async)" s))
+          (`Msg (Printf.sprintf "unknown commit mode %S (per-epoch, group)" s))
   in
   let print ppf m =
     Format.pp_print_string ppf
       (match m with
       | Service.Per_epoch -> "per-epoch"
-      | Service.Group _ -> "group"
-      | Service.Group_async _ -> "group-async")
+      | Service.Group _ -> "group")
   in
   Arg.conv (parse, print)
 
@@ -95,7 +86,7 @@ let run_cmd =
     Arg.(value & opt int Shard.default_count & info [ "shards" ] ~docv:"N" ~doc)
   in
   let commit_arg =
-    let doc = "Commit mode: per-epoch, group or group-async." in
+    let doc = "Commit mode: per-epoch or group." in
     Arg.(
       value
       & opt commit_conv Service.Per_epoch

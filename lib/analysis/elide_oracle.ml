@@ -202,10 +202,10 @@ let differential ~name ~analyze ~containment =
     segments_checked;
     dirty_cells }
 
-let run ?division ~name program =
+let run ~name program =
   differential ~name
     ~analyze:(fun ~mode ~guard ~elide ->
-      Engine.analyze ~mode ?division ~guard ~elide program)
+      Engine.analyze ~mode ~guard ~elide program)
     ~containment:check_containment
 
 (* ---- annotation-free (inferred) runs -------------------------------------- *)
@@ -273,7 +273,7 @@ let check_containment_inferred (report : Engine.report) =
 let run_inferred ~name program =
   differential ~name
     ~analyze:(fun ~mode ~guard ~elide ->
-      Engine.analyze ~mode ~guard ~elide ~infer:true program)
+      Engine.infer ~guard ~elide ~strategy:(Engine.Sequential mode) program)
     ~containment:check_containment_inferred
 
 (* ---- restore-equivalence oracle for minimized checkpoints ------------------ *)
@@ -434,11 +434,9 @@ let tstore_image ts (encoding : Staticcheck.Shape_infer.encoding) =
         encoding.Staticcheck.Shape_infer.slots }
 
 (* Re-drive the program through its discovered phase structure against
-   [store], mirroring the engine's checkpoint placement exactly (one per
-   setup body, one per round iteration including the final false-guard
-   evaluation, halted phases take none). [on_checkpoint k] fires where
-   checkpoint [k] would be taken. Returns (checkpoints, returned,
-   return value). *)
+   [store] with the engine's own round driver, so checkpoint placement is
+   the engine's by construction. [on_checkpoint k] fires where checkpoint
+   [k] would be taken. Returns (checkpoints, returned, return value). *)
 let drive ~(phases : Staticcheck.Auto_spec.phase_result list) ~store program
     ~on_checkpoint =
   let session = Minic.Interp.Session.start ~store program in
@@ -452,41 +450,29 @@ let drive ~(phases : Staticcheck.Auto_spec.phase_result list) ~store program
   List.iter
     (fun (pr : Staticcheck.Auto_spec.phase_result) ->
       let ph = pr.Staticcheck.Auto_spec.ph in
-      if not !halted then begin
-        let exec_body () =
-          try
-            Minic.Interp.Session.exec_block session
-              ph.Staticcheck.Phase_discover.p_body
-          with Minic.Interp.Session.Halted v ->
-            halted := true;
-            ret := v
-        in
-        match ph.Staticcheck.Phase_discover.p_kind with
-        | Staticcheck.Phase_discover.Setup ->
-            exec_body ();
-            step ()
-        | Staticcheck.Phase_discover.Round { cond } ->
-            let continue = ref true in
-            while !continue do
-              if !halted then continue := false
-              else begin
-                let v = Minic.Interp.Session.eval session cond in
-                if v = 0 then continue := false else exec_body ();
-                step ()
-              end
-            done
-      end)
+      let exec () =
+        try
+          Minic.Interp.Session.exec_block session
+            ph.Staticcheck.Phase_discover.p_body
+        with Minic.Interp.Session.Halted v as e ->
+          ret := v;
+          raise e
+      in
+      ignore
+        (Engine.rounds ph ~eval:(Minic.Interp.Session.eval session) ~exec
+           ~halted ~step))
     phases;
   (!k, !halted, !ret)
 
 let run_live ?(seed_unsound = false) ~name program =
   let baseline =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true
-      ~elide:false program
+    Engine.infer ~guard:true ~strategy:(Engine.Sequential Engine.Specialized)
+      program
   in
   let minimized =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true
-      ~elide:true ~minimize:true ~seed_dead:seed_unsound program
+    Engine.infer ~guard:true ~elide:true
+      ~strategy:(Engine.Minimized { seed_dead = seed_unsound })
+      program
   in
   let auto = Option.get (Engine.auto_spec baseline) in
   let auto_m = Option.get (Engine.auto_spec minimized) in
@@ -787,11 +773,12 @@ let observed_conflicts ~mode (rep : Engine.par_report) =
 
 let run_par ?(seed_racy = false) ?(domains = 4) ~name program =
   let seq ~mode ~guard =
-    Engine.analyze ~infer:true ~mode ~guard ~elide:false program
+    Engine.infer ~guard ~strategy:(Engine.Sequential mode) program
   in
   let par ~mode ~guard =
-    Engine.analyze ~infer:true ~mode ~guard ~elide:false ~parallel:domains
-      ~seed_racy program
+    Engine.infer ~guard
+      ~strategy:(Engine.Parallel { mode; domains; seed_racy })
+      program
   in
   let seq_inc = seq ~mode:Engine.Incremental ~guard:false in
   let par_inc = par ~mode:Engine.Incremental ~guard:false in

@@ -41,13 +41,13 @@ type outcome = {
 
 val ok : outcome -> bool
 
-val run : ?division:string list -> name:string -> Minic.Ast.program -> outcome
+val run : name:string -> Minic.Ast.program -> outcome
 (** Four engine runs of the workload (instrumented/elided ×
     incremental/guarded-specialized) plus the segment decode. *)
 
 val run_inferred : name:string -> Minic.Ast.program -> outcome
 (** The same differential checks for an {e annotation-free} run
-    ([Engine.analyze ~infer]): four runs of the bare program under
+    ({!Engine.infer}): four runs of the bare program under
     inferred shapes and inferred elision plans, byte-identity across
     elision and across modes, and I8 over the {!Wheap} — every
     dynamically dirtied block or scalar of the instrumented incremental
@@ -57,7 +57,7 @@ val run_inferred : name:string -> Minic.Ast.program -> outcome
 
 (** {1 Restore-equivalence oracle for minimized checkpoints}
 
-    Minimized chains ([Engine.analyze ~infer ~minimize]) are not
+    Minimized chains ([Engine.infer ~strategy:(Minimized _)]) are not
     byte-identical to unminimized ones by construction, so byte identity
     cannot be their soundness check. {!run_live} verifies the semantic
     contract instead, per epoch of the minimized chain:
@@ -100,19 +100,19 @@ val run_live :
 (** Two engine runs (guarded-specialized baseline; minimized with
     live-extended elision), then per epoch: both prefixes restored and
     compared on live cells, one resumed execution, and the containment
-    check. [seed_unsound] passes [seed_dead] to the minimized run —
+    check. [seed_unsound] sets [seed_dead] in the minimized run —
     one deliberately mis-minimized block that {e must} surface as a
     failure here (no static finding fires), proving this oracle gates.
-    @raise Engine.Verification_failed as [Engine.analyze ~infer] does. *)
+    @raise Engine.Verification_failed as {!Engine.infer} does. *)
 
 val pp_live : Format.formatter -> live_outcome -> unit
 
 (** {1 Sequential-identity oracle for parallel execution}
 
-    Parallel runs ([Engine.analyze ~parallel]) promise {e byte identity}
-    with the sequential chain: domain-local write logs replayed in
-    schedule order produce the same barrier stream whenever the units'
-    footprints were really disjoint. Identity alone cannot gate, though —
+    Parallel runs ([Engine.infer ~strategy:(Parallel _)]) promise
+    {e byte identity} with the sequential chain: domain-local write logs
+    replayed in schedule order produce the same barrier stream whenever
+    the units' footprints were really disjoint. Identity alone cannot gate, though —
     an overlap that happens to write the same value keeps the chain
     identical while the run is still racy (the [seed_racy] self-test
     demonstrates exactly this). {!run_par} therefore also intersects the
@@ -148,15 +148,15 @@ val run_par :
   name:string ->
   Minic.Ast.program ->
   par_outcome
-(** Four engine runs (sequential vs [~parallel:domains], in incremental
-    and guarded-specialized modes; [domains] defaults to 4), chain
+(** Four engine runs ([Sequential] vs [Parallel] over [domains], in
+    incremental and guarded-specialized modes; [domains] defaults to 4), chain
     comparison per mode, and the pairwise observed-footprint check over
     both parallel runs' fork groups. [seed_racy] is forwarded to the
     parallel runs; [pw_seeded] reports whether the schedule found
     anything to seed (a workload with no multi-strip sweep cannot be
     seeded). A seeded run must {e not} be [par_ok] — that is the
     self-test that this oracle gates.
-    @raise Engine.Verification_failed as [Engine.analyze ~infer] does. *)
+    @raise Engine.Verification_failed as {!Engine.infer} does. *)
 
 val pp_par : Format.formatter -> par_outcome -> unit
 

@@ -1,5 +1,9 @@
 open Ickpt_core
 open Ickpt_harness
+module As = Staticcheck.Auto_spec
+module Pd = Staticcheck.Phase_discover
+module Be = Staticcheck.Barrier_elide
+module Session = Minic.Interp.Session
 
 type mode = Full | Incremental | Specialized
 
@@ -9,6 +13,11 @@ let pp_mode ppf m =
     | Full -> "full"
     | Incremental -> "incremental"
     | Specialized -> "specialized")
+
+type strategy =
+  | Sequential of mode
+  | Minimized of { seed_dead : bool }
+  | Parallel of { mode : mode; domains : int; seed_racy : bool }
 
 type iteration_stat = {
   bytes : int;
@@ -27,7 +36,7 @@ type phase_report = {
 
 type subject =
   | Engine_heap of Attrs.t
-  | Workload_heap of { wheap : Wheap.t; auto : Staticcheck.Auto_spec.t }
+  | Workload_heap of { wheap : Wheap.t; auto : As.t }
 
 module Isch = Staticcheck.Interfere.Schedule
 
@@ -54,7 +63,6 @@ type report = {
   chain : Chain.t;
   subject : subject;
   env : Minic.Check.env;
-  elide_plans : Staticcheck.Barrier_elide.plan list;
   par : par_report option;
 }
 
@@ -74,20 +82,24 @@ exception Preflight_failed of Staticcheck.Spec_lint.diagnostic list
 
 exception Verification_failed of (string * Staticcheck.Tv.verdict) list
 
+(* The three declared phases in run order, with their static phase model
+   and declared specialization class. *)
+let declared_phases attrs =
+  Staticcheck.Phase_model.
+    [ ("sea", Sea, Attrs.sea_shape attrs);
+      ("bta", Bta, Attrs.bta_shape attrs);
+      ("eta", Eta, Attrs.eta_shape attrs) ]
+
 (* The pre-flight check: every phase's declared specialization class must
    agree with the statically inferred one. Program-independent (the
    shapes are fixed by the Attrs schema), but cheap enough to run per
    engine invocation. *)
-let preflight_diagnostics attrs =
+let preflight attrs =
   let klasses = Attrs.klasses attrs in
   List.concat_map
-    (fun (phase, declared) ->
+    (fun (_, phase, declared) ->
       Staticcheck.Spec_lint.check_phase ~klasses phase ~declared)
-    [ (Staticcheck.Phase_model.Sea, Attrs.sea_shape attrs);
-      (Staticcheck.Phase_model.Bta, Attrs.bta_shape attrs);
-      (Staticcheck.Phase_model.Eta, Attrs.eta_shape attrs) ]
-
-let preflight = preflight_diagnostics
+    (declared_phases attrs)
 
 (* Translation-validate each phase's residual code against the generic
    algorithm, going through the spec cache both for the plan and for the
@@ -95,7 +107,7 @@ let preflight = preflight_diagnostics
    phases) is not re-verified. *)
 let verify_phases ~cache attrs =
   List.filter_map
-    (fun (name, shape) ->
+    (fun (name, _, shape) ->
       let plan = Jspec.Spec_cache.plan cache shape in
       match Jspec.Spec_cache.cached_verdict cache shape plan.Jspec.Pe.body with
       | Some true -> None
@@ -106,408 +118,325 @@ let verify_phases ~cache attrs =
           Jspec.Spec_cache.set_verdict cache shape plan.Jspec.Pe.body
             (Staticcheck.Tv.ok v);
           if Staticcheck.Tv.ok v then None else Some (name, v))
-    [ ("sea", Attrs.sea_shape attrs);
-      ("bta", Attrs.bta_shape attrs);
-      ("eta", Attrs.eta_shape attrs) ]
+    (declared_phases attrs)
 
 let phase_bytes p = List.fold_left (fun acc s -> acc + s.bytes) 0 p.stats
 
 let phase_ckp_seconds p =
   List.fold_left (fun acc s -> acc +. s.seconds) 0.0 p.stats
 
-(* One checkpointing step over the attribute roots, returning the stat.
-   [guard_shape] is the (possibly elision-pruned) declaration to validate
-   before specialized recording; [None] means the check is statically
-   discharged (or guards are off) and skipped outright. *)
-let checkpoint_step ~mode ~measure_traversal ~guard_shape ~chain ~attrs
-    ~spec_runner () =
-  let roots = Attrs.roots attrs in
+(* ---- the checkpoint step ------------------------------------------------- *)
+
+(* What one phase checkpoints: its roots, the (shape, root) pairs to
+   validate before every specialized checkpoint (already pruned by
+   elision; empty when guards are off), and its specialized recorder. *)
+type target = {
+  roots : Ickpt_runtime.Model.obj list;
+  guards : (Jspec.Sclass.shape * Ickpt_runtime.Model.obj) list;
+  record : Ickpt_stream.Out_stream.t -> unit;
+}
+
+(* One checkpoint, returning its stat. Specialized mode records through
+   the residual routines and appends the segment itself, so its bytes
+   match the generic incremental checkpoint of the same heap. With
+   [measure_traversal] the same routine re-runs on the now-clean heap
+   into a byte-counting sink. *)
+let checkpoint_step ~mode ~measure_traversal ~chain t =
+  let traversal f =
+    if not measure_traversal then None
+    else
+      let sink = Ickpt_stream.Out_stream.sink () in
+      Some (snd (Clock.time (fun () -> f sink)))
+  in
+  let generic take walk =
+    let (taken : Chain.taken), seconds =
+      Clock.time (fun () -> take chain t.roots)
+    in
+    { bytes = Segment.body_size taken.Chain.segment;
+      seconds;
+      traversal_seconds = traversal (fun sink -> walk sink t.roots);
+      guard_seconds = 0.0;
+      recorded = taken.Chain.stats.Checkpointer.recorded }
+  in
   match mode with
-  | Full ->
-      let (taken : Chain.taken), seconds =
-        Clock.time (fun () -> Chain.take_full chain roots)
-      in
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s =
-            Clock.time (fun () -> Checkpointer.full_many sink roots)
-          in
-          Some s
-      in
-      { bytes = Segment.body_size taken.Chain.segment;
-        seconds;
-        traversal_seconds;
-        guard_seconds = 0.0;
-        recorded = taken.Chain.stats.Checkpointer.recorded }
+  | Full -> generic Chain.take_full (Checkpointer.full_many ?stats:None)
   | Incremental ->
-      let (taken : Chain.taken), seconds =
-        Clock.time (fun () -> Chain.take_incremental chain roots)
-      in
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s =
-            Clock.time (fun () -> Checkpointer.incremental_many sink roots)
-          in
-          Some s
-      in
-      { bytes = Segment.body_size taken.Chain.segment;
-        seconds;
-        traversal_seconds;
-        guard_seconds = 0.0;
-        recorded = taken.Chain.stats.Checkpointer.recorded }
+      generic Chain.take_incremental (Checkpointer.incremental_many ?stats:None)
   | Specialized ->
       let (), guard_seconds =
         Clock.time (fun () ->
-            match guard_shape with
-            | None -> ()
-            | Some shape ->
-                List.iter
-                  (fun root ->
-                    match Jspec.Guard.check shape root with
-                    | [] -> ()
-                    | v :: _ -> raise (Jspec.Guard.Violated v))
-                  roots)
+            List.iter
+              (fun (shape, root) ->
+                match Jspec.Guard.check shape root with
+                | [] -> ()
+                | v :: _ -> raise (Jspec.Guard.Violated v))
+              t.guards)
       in
       let d = Ickpt_stream.Out_stream.create () in
-      let (), seconds =
-        Clock.time (fun () -> List.iter (fun r -> spec_runner d r) roots)
-      in
+      let (), seconds = Clock.time (fun () -> t.record d) in
       let body = Ickpt_stream.Out_stream.contents d in
-      let segment =
+      Chain.append chain
         { Segment.kind = Segment.Incremental;
           seq = Chain.next_seq chain;
           roots =
             List.map
               (fun (o : Ickpt_runtime.Model.obj) ->
                 o.Ickpt_runtime.Model.info.Ickpt_runtime.Model.id)
-              roots;
-          body }
-      in
-      Chain.append chain segment;
-      let traversal_seconds =
-        if not measure_traversal then None
-        else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s =
-            Clock.time (fun () -> List.iter (fun r -> spec_runner sink r) roots)
-          in
-          Some s
-      in
+              t.roots;
+          body };
       { bytes = String.length body;
         seconds;
-        traversal_seconds;
+        traversal_seconds = traversal t.record;
         guard_seconds;
         recorded = -1 }
 
-(* One plan cache per engine run: the three phase shapes compile once each
-   and are shared however many iterations run (cf. Jspec.Spec_cache).
-   [barrier_plan] reroutes the phase's statically dead setters around the
-   write barrier for the duration of the phase. *)
-let run_phase ~cache ~name ~mode ~measure_traversal ~guard_shape ~barrier_plan
-    ~chain ~attrs ~shape analysis =
-  let spec_runner =
-    match mode with
-    | Specialized -> Jspec.Spec_cache.runner cache shape
-    | Full | Incremental -> fun _ _ -> ()
-  in
+(* Per-phase bookkeeping: [step] takes one checkpoint and logs its stat;
+   [finish] reports the phase, charging to the analysis what is left of
+   the phase's wall time once every checkpoint-side second (record,
+   guard, traversal) is taken out. *)
+let phase_log ~mode ~measure_traversal ~chain target =
   let stats = ref [] in
   let ckp_total = ref 0.0 in
-  let on_iteration _i =
-    let stat =
-      checkpoint_step ~mode ~measure_traversal ~guard_shape ~chain ~attrs
-        ~spec_runner ()
-    in
+  let step () =
+    let stat = checkpoint_step ~mode ~measure_traversal ~chain target in
     ckp_total :=
       !ckp_total +. stat.seconds +. stat.guard_seconds
       +. Option.value ~default:0.0 stat.traversal_seconds;
     stats := stat :: !stats
   in
-  Attrs.set_barrier_plan attrs barrier_plan;
-  let iterations, total_seconds =
-    Fun.protect
-      ~finally:(fun () -> Attrs.set_barrier_plan attrs Attrs.no_elision)
-      (fun () -> Clock.time (fun () -> analysis ~on_iteration))
+  let finish ~phase ~iterations ~seconds =
+    { phase;
+      iterations;
+      stats = List.rev !stats;
+      analysis_seconds = Float.max 0.0 (seconds -. !ckp_total) }
   in
-  { phase = name;
-    iterations;
-    stats = List.rev !stats;
-    analysis_seconds = Float.max 0.0 (total_seconds -. !ckp_total) }
+  (step, finish)
 
-let analyze_declared ?(mode = Incremental) ?division ?(sea_min = 1)
-    ?(bta_min = 1) ?(eta_min = 1) ?(measure_traversal = false)
-    ?(guard = false) ?(preflight = false) ?(elide = false) program =
+(* ---- declared runs ------------------------------------------------------- *)
+
+let analyze ?(mode = Incremental) ?(bta_min = 1) ?(eta_min = 1)
+    ?(measure_traversal = false) ?(guard = false) ?preflight:(gate = false)
+    ?(elide = false) program =
   let env = Minic.Check.check program in
+  (* The binding-time division: the generator's static globals that this
+     program declares. *)
   let division =
-    match division with
-    | Some d -> d
-    | None ->
-        List.filter
-          (fun g -> List.exists (fun (x, _) -> x = g) env.Minic.Check.global_ids)
-          Minic.Gen.static_globals
+    List.filter
+      (fun g -> List.mem_assoc g env.Minic.Check.global_ids)
+      Minic.Gen.static_globals
   in
   let attrs = Attrs.create ~n_stmts:(Minic.Ast.stmt_count program) in
   let cache = Jspec.Spec_cache.create () in
-  if preflight then begin
-    let ds = preflight_diagnostics attrs in
+  if gate then begin
+    let ds = preflight attrs in
     if Staticcheck.Spec_lint.has_unsound ds then raise (Preflight_failed ds);
     match verify_phases ~cache attrs with
     | [] -> ()
     | failures -> raise (Verification_failed failures)
   end;
   let chain = Chain.create (Attrs.schema attrs) in
+  let roots = Attrs.roots attrs in
   (* Base checkpoint: everything is fresh, so record it all once. *)
-  let base = Chain.take_full chain (Attrs.roots attrs) in
-  let base_bytes = Segment.body_size base.Chain.segment in
-  (* Static elision: one Barrier_elide plan per phase. The planner only
-     elides sites whose may-write region is empty, so installing the
-     plan cannot change checkpoint bytes — which the elision oracle
-     re-verifies differentially on every workload. *)
-  let elide_plan shape phase =
-    if elide then Some (Staticcheck.Barrier_elide.plan ~declared:shape phase)
-    else None
-  in
-  let phase_setup shape phase =
-    let plan = elide_plan shape phase in
+  let base = Chain.take_full chain roots in
+  (* One phase under its Barrier_elide plan: setters the dirty-region
+     analysis proves dead are rerouted around the write barrier and the
+     guard is pruned to the checks the analysis could not discharge. The
+     planner only elides sites whose may-write region is empty, so this
+     cannot change checkpoint bytes — which the elision oracle re-verifies
+     differentially on every workload. The plan cache compiles each
+     phase shape once, however many iterations run. *)
+  let run_phase (name, phase, shape) analysis =
+    let plan = if elide then Some (Be.plan ~declared:shape phase) else None in
     let guard_shape =
-      if not guard then None
-      else
-        match plan with
-        | None -> Some shape
-        | Some p -> p.Staticcheck.Barrier_elide.guard_shape
-    in
-    let barrier_plan =
       match plan with
-      | None -> Attrs.no_elision
-      | Some p ->
-          let dead s = List.mem s (Staticcheck.Barrier_elide.elided p) in
-          { Attrs.lists_elided = dead Staticcheck.Barrier_elide.Lists;
-            bt_elided = dead Staticcheck.Barrier_elide.Bt;
-            et_elided = dead Staticcheck.Barrier_elide.Et }
+      | _ when not guard -> None
+      | None -> Some shape
+      | Some p -> p.Be.guard_shape
     in
-    (plan, guard_shape, barrier_plan)
+    let record =
+      match mode with
+      | Specialized ->
+          let run = Jspec.Spec_cache.runner cache shape in
+          fun sink -> List.iter (run sink) roots
+      | Full | Incremental -> ignore
+    in
+    let guards =
+      match guard_shape with
+      | None -> []
+      | Some s -> List.map (fun r -> (s, r)) roots
+    in
+    let step, finish =
+      phase_log ~mode ~measure_traversal ~chain { roots; guards; record }
+    in
+    let dead s =
+      match plan with None -> false | Some p -> List.mem s (Be.elided p)
+    in
+    Attrs.set_barrier_plan attrs
+      { Attrs.lists_elided = dead Be.Lists;
+        bt_elided = dead Be.Bt;
+        et_elided = dead Be.Et };
+    let iterations, seconds =
+      Fun.protect
+        ~finally:(fun () -> Attrs.set_barrier_plan attrs Attrs.no_elision)
+        (fun () ->
+          Clock.time (fun () -> analysis ~on_iteration:(fun _ -> step ())))
+    in
+    finish ~phase:name ~iterations ~seconds
   in
-  let sea_shape = Attrs.sea_shape attrs in
-  let bta_shape = Attrs.bta_shape attrs in
-  let eta_shape = Attrs.eta_shape attrs in
-  let sea_plan, sea_guard, sea_barrier =
-    phase_setup sea_shape Staticcheck.Phase_model.Sea
+  (* List.map2 applies [run_phase] in list order — SEA before BTA before
+     ETA, so the chain's segments follow phase order. *)
+  let phases =
+    List.map2 run_phase (declared_phases attrs)
+      [ (fun ~on_iteration -> Sea.run ~on_iteration env attrs);
+        (fun ~on_iteration ->
+          Bta_phase.run ~on_iteration ~min_iterations:bta_min ~division env
+            attrs);
+        (fun ~on_iteration ->
+          Eta_phase.run ~on_iteration ~min_iterations:eta_min ~division env
+            attrs) ]
   in
-  let bta_plan, bta_guard, bta_barrier =
-    phase_setup bta_shape Staticcheck.Phase_model.Bta
-  in
-  let eta_plan, eta_guard, eta_barrier =
-    phase_setup eta_shape Staticcheck.Phase_model.Eta
-  in
-  (* Bound with [let] one after another: a list literal would evaluate
-     its elements in unspecified (in practice reverse) order, running
-     eta before bta ever computed a binding time — and interleaving the
-     chain's segments out of phase order. *)
-  let sea_report =
-    run_phase ~cache ~name:"sea" ~mode ~measure_traversal
-      ~guard_shape:sea_guard ~barrier_plan:sea_barrier ~chain ~attrs
-      ~shape:sea_shape (fun ~on_iteration ->
-        Sea.run ~on_iteration ~min_iterations:sea_min env attrs)
-  in
-  let bta_report =
-    run_phase ~cache ~name:"bta" ~mode ~measure_traversal
-      ~guard_shape:bta_guard ~barrier_plan:bta_barrier ~chain ~attrs
-      ~shape:bta_shape (fun ~on_iteration ->
-        Bta_phase.run ~on_iteration ~min_iterations:bta_min ~division env
-          attrs)
-  in
-  let eta_report =
-    run_phase ~cache ~name:"eta" ~mode ~measure_traversal
-      ~guard_shape:eta_guard ~barrier_plan:eta_barrier ~chain ~attrs
-      ~shape:eta_shape (fun ~on_iteration ->
-        Eta_phase.run ~on_iteration ~min_iterations:eta_min ~division env
-          attrs)
-  in
-  let phases = [ sea_report; bta_report; eta_report ] in
   { mode;
     n_stmts = Attrs.n_stmts attrs;
-    base_bytes;
+    base_bytes = Segment.body_size base.Chain.segment;
     phases;
     chain;
     subject = Engine_heap attrs;
     env;
-    elide_plans = List.filter_map Fun.id [ sea_plan; bta_plan; eta_plan ];
     par = None }
 
-(* ---- annotation-free (inferred) runs -------------------------------------- *)
+(* ---- annotation-free (inferred) runs ------------------------------------- *)
 
-(* One checkpoint over the workload heap. Specialized mode records each
-   root with the residual routine compiled for that root's inferred
-   per-phase shape (all drawn from the inference run's spec cache) and
-   appends the segment manually, exactly like the declared-run step. *)
-let workload_checkpoint_step ~mode ~measure_traversal ~guard ~elide ~minimize
-    ~chain ~(wheap : Wheap.t) ~(auto : Staticcheck.Auto_spec.t)
-    ~(pr : Staticcheck.Auto_spec.phase_result) () =
-  let roots = Wheap.roots wheap in
-  let take f =
-    let (taken : Chain.taken), seconds = Clock.time (fun () -> f ()) in
-    { bytes = Segment.body_size taken.Chain.segment;
-      seconds;
-      traversal_seconds = None;
-      guard_seconds = 0.0;
-      recorded = taken.Chain.stats.Checkpointer.recorded }
-  in
-  match mode with
-  | Full -> take (fun () -> Chain.take_full chain roots)
-  | Incremental -> take (fun () -> Chain.take_incremental chain roots)
-  | Specialized ->
-      let (), guard_seconds =
-        Clock.time (fun () ->
-            if guard then
-              List.iter
-                (fun (g, shape) ->
-                  (* A global whose barrier is elided this phase was
-                     proven unwritten — its cleanliness check is
-                     statically discharged, mirroring the guard pruning
-                     of declared runs. *)
-                  if not (elide && Wheap.is_elided wheap g) then
-                    match Jspec.Guard.check shape (Wheap.root_of wheap g) with
-                    | [] -> ()
-                    | v :: _ -> raise (Jspec.Guard.Violated v))
-                pr.Staticcheck.Auto_spec.ph_shapes)
-      in
-      (* Minimized runs record under the pruned shapes — dirty-but-dead
-         blocks demoted — while the guard above keeps validating the
-         original shapes, which the dynamic heap actually conforms to. *)
-      let record_shapes =
-        if minimize then pr.Staticcheck.Auto_spec.ph_min_shapes
-        else pr.Staticcheck.Auto_spec.ph_shapes
-      in
-      let record sink =
-        List.iter
-          (fun (g, shape) ->
-            let runner =
-              Jspec.Spec_cache.runner auto.Staticcheck.Auto_spec.a_cache shape
-            in
-            runner sink (Wheap.root_of wheap g))
-          record_shapes
-      in
-      let d = Ickpt_stream.Out_stream.create () in
-      let (), seconds = Clock.time (fun () -> record d) in
-      let body = Ickpt_stream.Out_stream.contents d in
-      let segment =
-        { Segment.kind = Segment.Incremental;
-          seq = Chain.next_seq chain;
-          roots =
-            List.map
-              (fun (o : Ickpt_runtime.Model.obj) ->
-                o.Ickpt_runtime.Model.info.Ickpt_runtime.Model.id)
-              roots;
-          body }
-      in
-      Chain.append chain segment;
-      let traversal_seconds =
-        if not measure_traversal then None
+(* Drive one discovered phase: a [Setup] phase executes once and
+   checkpoints; a [Round] phase checkpoints after every loop iteration,
+   plus once after the final (false) guard evaluation — guard effects
+   belong to the round, so they must land in a segment of this phase. A
+   top-level [return] ([Session.Halted], caught here) sets [halted]: the
+   partial round is still checkpointed, and a phase entered halted runs
+   and checkpoints nothing. *)
+let rounds (ph : Pd.phase) ~eval ~exec ~halted ~step =
+  let exec () = try exec () with Session.Halted _ -> halted := true in
+  match ph.Pd.p_kind with
+  | _ when !halted -> 0
+  | Pd.Setup ->
+      exec ();
+      step ();
+      1
+  | Pd.Round { cond } ->
+      let rec go n =
+        if !halted then n
         else
-          let sink = Ickpt_stream.Out_stream.sink () in
-          let (), s = Clock.time (fun () -> record sink) in
-          Some s
+          let more = eval cond <> 0 in
+          if more then exec ();
+          step ();
+          if more then go (n + 1) else n + 1
       in
-      (* A minimized recorder consumes only the flags of the blocks it
-         keeps; a demoted block's flag would stay set and trip a later
-         phase's (original-shape) cleanliness guard. Sweep the graph
-         clean: the checkpoint this step took is the new baseline. *)
-      if minimize then Wheap.clear_modified wheap;
-      { bytes = String.length body;
-        seconds;
-        traversal_seconds;
-        guard_seconds;
-        recorded = -1 }
+      go 0
 
-(* Drive the program itself through the discovered phases: a [Setup]
-   phase executes once and checkpoints; a [Round] phase checkpoints after
-   every loop iteration, plus once after the final (false) guard
-   evaluation — guard effects belong to the round, so they must land in a
-   segment of this phase. A top-level [return] ([Session.Halted]) ends
-   the run: the partial round is still checkpointed, later phases take
-   zero checkpoints.
-
-   [parallel] consumes an {!Staticcheck.Interfere} schedule: statically
-   disjoint iteration strips (and whole independent phases) execute on
-   their own OCaml domains against domain-local {!Dlog} tracking stores;
-   the master then replays each unit's write log in schedule order — not
-   completion order — through the barriered [Wheap.store], so the
-   write-barrier stream, and hence the chain, is byte-identical to a
-   sequential run. The observed per-domain footprints land in the
-   [par_report] for [Elide_oracle.run_par]'s dynamic disjointness check. *)
-let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
-    ?(guard = false) ?(elide = false) ?(minimize = false)
-    ?(seed_dead = false) ?parallel ?(seed_racy = false) program =
-  if minimize && mode <> Specialized then
-    invalid_arg
-      "Engine.analyze: ~minimize requires Specialized mode (pruned \
-       residual checkpointers)";
-  if minimize && parallel <> None then
-    invalid_arg
-      "Engine.analyze: ~parallel is incompatible with ~minimize \
-       (minimized segments are not byte-comparable)";
-  let env = Minic.Check.check program in
-  let auto = Staticcheck.Auto_spec.infer ~seed_dead env in
+(* The inference contract is unconditional: verified or refused. The
+   gate holds in every mode — even a plain incremental run must not
+   execute under shapes whose residual code failed validation. *)
+let verify_inferred ~minimize (auto : As.t) =
   let failures =
     List.concat_map
-      (fun (pr : Staticcheck.Auto_spec.phase_result) ->
+      (fun (pr : As.phase_result) ->
         let gate verdicts =
           List.filter_map
             (fun (g, v) ->
               if Staticcheck.Tv.ok v then None
-              else
-                Some
-                  ( pr.Staticcheck.Auto_spec.ph
-                      .Staticcheck.Phase_discover.p_name ^ "/" ^ g,
-                    v ))
+              else Some (pr.As.ph.Pd.p_name ^ "/" ^ g, v))
             verdicts
         in
-        gate pr.Staticcheck.Auto_spec.ph_verdicts
-        @
-        if minimize then gate pr.Staticcheck.Auto_spec.ph_min_verdicts
-        else [])
-      auto.Staticcheck.Auto_spec.a_phases
+        gate pr.As.ph_verdicts
+        @ if minimize then gate pr.As.ph_min_verdicts else [])
+      auto.As.a_phases
   in
-  (* The inference contract is unconditional: verified or refused. This
-     gate holds in every mode — even a plain incremental run must not
-     execute under shapes whose residual code failed validation. *)
-  if failures <> [] then raise (Verification_failed failures);
+  if failures <> [] then raise (Verification_failed failures)
+
+(* The program itself drives the discovered phases, one checkpoint per
+   round. Minimized runs record under the pruned shapes (dirty-but-dead
+   blocks demoted) while guards keep validating the original shapes, which
+   the dynamic heap actually conforms to.
+
+   A [Parallel] strategy consumes an {!Staticcheck.Interfere} schedule:
+   statically disjoint iteration strips (and whole independent phases)
+   execute on their own OCaml domains against domain-local {!Dlog}
+   tracking stores; the master then replays each unit's write log in
+   schedule order — not completion order — through the barriered
+   [Wheap.store], so the write-barrier stream, and hence the chain, is
+   byte-identical to a sequential run. The observed per-domain footprints
+   land in the [par_report] for [Elide_oracle.run_par]'s dynamic
+   disjointness check. *)
+let infer ?(guard = false) ?(elide = false)
+    ?(strategy = Sequential Incremental) program =
+  let mode, minimize, seed_dead =
+    match strategy with
+    | Sequential mode | Parallel { mode; _ } -> (mode, false, false)
+    | Minimized { seed_dead } -> (Specialized, true, seed_dead)
+  in
+  let env = Minic.Check.check program in
+  let auto = As.infer ~seed_dead env in
+  verify_inferred ~minimize auto;
   let sched =
-    Option.map
-      (fun n -> Staticcheck.Interfere.schedule ~domains:n ~seed_racy auto)
-      parallel
+    match strategy with
+    | Parallel { domains; seed_racy; _ } ->
+        Some (Staticcheck.Interfere.schedule ~domains ~seed_racy auto)
+    | Sequential _ | Minimized _ -> None
   in
-  let wheap = Wheap.create auto.Staticcheck.Auto_spec.a_encoding in
+  let wheap = Wheap.create auto.As.a_encoding in
+  let ws = Wheap.store wheap in
   let chain = Chain.create (Wheap.schema wheap) in
-  let base = Chain.take_full chain (Wheap.roots wheap) in
-  let base_bytes = Segment.body_size base.Chain.segment in
-  let session =
-    Minic.Interp.Session.start ~store:(Wheap.store wheap) program
-  in
+  let roots = Wheap.roots wheap in
+  let base = Chain.take_full chain roots in
+  let session = Session.start ~store:ws program in
   let halted = ref false in
-  let elision_for (pr : Staticcheck.Auto_spec.phase_result) =
-    if elide then
-      (* Minimized runs use the live-extended plan: barriers on
-         write-only-before-death globals are dead weight (their
-         flags guard state no minimized checkpoint records).
-         Byte-identity runs must keep the may-write-only plan. *)
-      Staticcheck.Barrier_elide.welided
-        (if minimize then pr.Staticcheck.Auto_spec.ph_live_wplan
-         else pr.Staticcheck.Auto_spec.ph_wplan)
-    else []
-  in
-  let make_step (pr : Staticcheck.Auto_spec.phase_result) stats ckp_total () =
-    let stat =
-      workload_checkpoint_step ~mode ~measure_traversal ~guard ~elide
-        ~minimize ~chain ~wheap ~auto ~pr ()
+  (* Open a phase's checkpoint log under its elision set. Minimized runs
+     use the live-extended plan: barriers on write-only-before-death
+     globals are dead weight. Byte-identity runs keep the may-write-only
+     plan. A global whose barrier is elided was proven unwritten, so its
+     guard is statically discharged. *)
+  let open_phase (pr : As.phase_result) =
+    let elided =
+      if not elide then []
+      else Be.welided (if minimize then pr.As.ph_live_wplan else pr.As.ph_wplan)
     in
-    ckp_total :=
-      !ckp_total +. stat.seconds +. stat.guard_seconds
-      +. Option.value ~default:0.0 stat.traversal_seconds;
-    stats := stat :: !stats
+    Wheap.set_elided wheap elided;
+    let bind shapes =
+      List.map (fun (g, shape) -> (shape, Wheap.root_of wheap g)) shapes
+    in
+    let guards =
+      if not guard then []
+      else
+        bind
+          (List.filter (fun (g, _) -> not (List.mem g elided)) pr.As.ph_shapes)
+    in
+    let record =
+      match mode with
+      | Specialized ->
+          let runs =
+            List.map
+              (fun (shape, root) ->
+                (Jspec.Spec_cache.runner auto.As.a_cache shape, root))
+              (bind (if minimize then pr.As.ph_min_shapes else pr.As.ph_shapes))
+          in
+          fun sink -> List.iter (fun (run, root) -> run sink root) runs
+      | Full | Incremental -> ignore
+    in
+    let step, finish =
+      phase_log ~mode ~measure_traversal:false ~chain { roots; guards; record }
+    in
+    (* A minimized recorder consumes only the flags of the blocks it
+       keeps; a demoted block's flag would stay set and trip a later
+       phase's (original-shape) guard. Sweep the graph clean: the
+       checkpoint just taken is the new baseline. *)
+    let step () =
+      step ();
+      if minimize then Wheap.clear_modified wheap
+    in
+    let finish ~iterations ~seconds =
+      Wheap.set_elided wheap [];
+      finish ~phase:pr.As.ph.Pd.p_name ~iterations ~seconds
+    in
+    (step, finish)
   in
   (* Parallel bookkeeping: every fan-out (one sweep execution, one phase
      group) is a fork instance; the observed footprints of its units are
@@ -521,7 +450,6 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
         pu_reads = Dlog.observed_reads d; pu_writes = Dlog.observed_writes d }
       :: !par_units
   in
-  let ws = Wheap.store wheap in
   (* One sweep fan-out: strips run their self-contained programs on fresh
      domains against a common snapshot, then the master replays the write
      logs in strip order through the (possibly elision-rerouted) barriered
@@ -538,11 +466,10 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
              Domain.spawn (fun () ->
                  let d = Dlog.create snapshot in
                  let s =
-                   Minic.Interp.Session.start ~store:(Dlog.store d)
-                     st.Isch.st_program
+                   Session.start ~store:(Dlog.store d) st.Isch.st_program
                  in
                  (match Minic.Ast.find_func st.Isch.st_program "main" with
-                 | Some main -> Minic.Interp.Session.exec_block s main.Minic.Ast.f_body
+                 | Some main -> Session.exec_block s main.Minic.Ast.f_body
                  | None -> ());
                  d))
       |> List.map Domain.join
@@ -562,57 +489,24 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
      fanned out — which is the program-order execution the sequential
      driver performs, minus the strip-internal reordering the schedule
      proved unobservable. *)
-  let run_one ((pr : Staticcheck.Auto_spec.phase_result), pso) =
-    let ph = pr.Staticcheck.Auto_spec.ph in
-    Wheap.set_elided wheap (elision_for pr);
-    let stats = ref [] in
-    let ckp_total = ref 0.0 in
-    let step = make_step pr stats ckp_total in
-    let exec_serial b =
-      try Minic.Interp.Session.exec_block session b
-      with Minic.Interp.Session.Halted _ -> halted := true
-    in
-    let exec_body () =
+  let run_one ((pr : As.phase_result), pso) =
+    let ph = pr.As.ph in
+    let step, finish = open_phase pr in
+    let exec () =
       match pso with
       | Some ps when ps.Isch.ps_units <> [] ->
           List.iter
-            (fun u ->
-              if not !halted then
-                match u with
-                | Isch.Serial s -> exec_serial [ s ]
-                | Isch.Par_sweep sw ->
-                    run_sweep ph.Staticcheck.Phase_discover.p_name sw)
+            (function
+              | Isch.Serial s -> Session.exec_block session [ s ]
+              | Isch.Par_sweep sw -> run_sweep ph.Pd.p_name sw)
             ps.Isch.ps_units
-      | _ -> exec_serial ph.Staticcheck.Phase_discover.p_body
+      | _ -> Session.exec_block session ph.Pd.p_body
     in
-    let run_rounds () =
-      if !halted then 0
-      else
-        match ph.Staticcheck.Phase_discover.p_kind with
-        | Staticcheck.Phase_discover.Setup ->
-            exec_body ();
-            step ();
-            1
-        | Staticcheck.Phase_discover.Round { cond } ->
-            let n = ref 0 in
-            let continue = ref true in
-            while !continue do
-              if !halted then continue := false
-              else begin
-                let v = Minic.Interp.Session.eval session cond in
-                if v = 0 then continue := false else exec_body ();
-                step ();
-                incr n
-              end
-            done;
-            !n
+    let iterations, seconds =
+      Clock.time (fun () ->
+          rounds ph ~eval:(Session.eval session) ~exec ~halted ~step)
     in
-    let iterations, total_seconds = Clock.time run_rounds in
-    Wheap.set_elided wheap [];
-    { phase = ph.Staticcheck.Phase_discover.p_name;
-      iterations;
-      stats = List.rev !stats;
-      analysis_seconds = Float.max 0.0 (total_seconds -. !ckp_total) }
+    finish ~iterations ~seconds
   in
   (* A parallel phase group: each member phase runs to completion on its
      own domain (its own session over the blanked program, master locals
@@ -621,20 +515,11 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
      carrying back the locals the member may write. A member that halted
      discards every later member's work — the sequential run would never
      have executed it. *)
-  let zero_phase (pr : Staticcheck.Auto_spec.phase_result) =
-    { phase = pr.Staticcheck.Auto_spec.ph.Staticcheck.Phase_discover.p_name;
-      iterations = 0; stats = []; analysis_seconds = 0.0 }
-  in
-  let blank_program =
-    lazy
-      { program with
-        Minic.Ast.funcs =
-          List.map
-            (fun f ->
-              if f.Minic.Ast.f_name = "main" then
-                { f with Minic.Ast.f_body = [] }
-              else f)
-            program.Minic.Ast.funcs }
+  let zero_phase (pr : As.phase_result) =
+    { phase = pr.As.ph.Pd.p_name;
+      iterations = 0;
+      stats = [];
+      analysis_seconds = 0.0 }
   in
   let main_local_names =
     match Minic.Ast.find_func program "main" with
@@ -647,76 +532,54 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
       incr fork;
       let fid = !fork in
       let snapshot = Dlog.snapshot_of_wheap wheap in
-      let locals0 = Minic.Interp.Session.locals session in
+      let locals0 = Session.locals session in
+      let blank =
+        { program with
+          Minic.Ast.funcs =
+            List.map
+              (fun f ->
+                if f.Minic.Ast.f_name = "main" then
+                  { f with Minic.Ast.f_body = [] }
+                else f)
+              program.Minic.Ast.funcs }
+      in
       let results, fan_seconds =
         Clock.time (fun () ->
             members
-            |> List.map
-                 (fun ((pr : Staticcheck.Auto_spec.phase_result), _) ->
+            |> List.map (fun ((pr : As.phase_result), _) ->
                    Domain.spawn (fun () ->
-                       let ph = pr.Staticcheck.Auto_spec.ph in
+                       let ph = pr.As.ph in
                        let d = Dlog.create snapshot in
-                       let s =
-                         Minic.Interp.Session.start ~store:(Dlog.store d)
-                           (Lazy.force blank_program)
-                       in
+                       let s = Session.start ~store:(Dlog.store d) blank in
                        List.iter
-                         (fun (n, v) -> Minic.Interp.Session.set_local s n v)
+                         (fun (n, v) -> Session.set_local s n v)
                          locals0;
-                       let halted' = ref false in
-                       let exec () =
-                         try
-                           Minic.Interp.Session.exec_block s
-                             ph.Staticcheck.Phase_discover.p_body
-                         with Minic.Interp.Session.Halted _ ->
-                           halted' := true
+                       let halted = ref false in
+                       let n =
+                         rounds ph ~eval:(Session.eval s)
+                           ~exec:(fun () -> Session.exec_block s ph.Pd.p_body)
+                           ~halted
+                           ~step:(fun () -> Dlog.mark d)
                        in
-                       let rounds =
-                         match ph.Staticcheck.Phase_discover.p_kind with
-                         | Staticcheck.Phase_discover.Setup ->
-                             exec ();
-                             Dlog.mark d;
-                             1
-                         | Staticcheck.Phase_discover.Round { cond } ->
-                             let n = ref 0 in
-                             let continue = ref true in
-                             while !continue do
-                               if !halted' then continue := false
-                               else begin
-                                 let v = Minic.Interp.Session.eval s cond in
-                                 if v = 0 then continue := false
-                                 else exec ();
-                                 Dlog.mark d;
-                                 incr n
-                               end
-                             done;
-                             !n
-                       in
-                       (d, rounds, !halted', Minic.Interp.Session.locals s)))
+                       (d, n, !halted, Session.locals s)))
             |> List.map Domain.join)
       in
       let fan = ref fan_seconds in
       List.map2
-        (fun ((pr : Staticcheck.Auto_spec.phase_result), pso)
-             (d, rounds, h, finals) ->
-          let ph = pr.Staticcheck.Auto_spec.ph in
-          let name = ph.Staticcheck.Phase_discover.p_name in
+        (fun ((pr : As.phase_result), pso) (d, iterations, h, finals) ->
+          let ph = pr.As.ph in
           if !halted then zero_phase pr
           else begin
-            Wheap.set_elided wheap (elision_for pr);
-            let stats = ref [] in
-            let ckp_total = ref 0.0 in
-            let step = make_step pr stats ckp_total in
-            record_unit ~phase:name ~label:("phase:" ^ name) ~group:fid d;
+            let step, finish = open_phase pr in
+            record_unit ~phase:ph.Pd.p_name ~label:("phase:" ^ ph.Pd.p_name)
+              ~group:fid d;
             let (), secs =
               Clock.time (fun () -> Dlog.replay ws ~on_mark:step d)
             in
             (match pso with
             | Some (ps : Isch.phase_sched) ->
                 let pairs =
-                  try
-                    List.combine ph.Staticcheck.Phase_discover.p_lifted
-                      main_local_names
+                  try List.combine ph.Pd.p_lifted main_local_names
                   with Invalid_argument _ -> []
                 in
                 List.iter
@@ -731,20 +594,14 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
                     in
                     if written then
                       match List.assoc_opt orig finals with
-                      | Some v ->
-                          Minic.Interp.Session.set_local session orig v
+                      | Some v -> Session.set_local session orig v
                       | None -> ())
                   pairs
             | None -> ());
             if h then halted := true;
-            Wheap.set_elided wheap [];
             let own = !fan in
             fan := 0.0;
-            { phase = name;
-              iterations = rounds;
-              stats = List.rev !stats;
-              analysis_seconds =
-                Float.max 0.0 (own +. secs -. !ckp_total) }
+            finish ~iterations ~seconds:(own +. secs)
           end)
         members results
     end
@@ -753,12 +610,11 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
      of one group id; singleton runs take the sequential driver. *)
   let paired =
     match sched with
-    | None ->
-        List.map (fun pr -> (pr, None)) auto.Staticcheck.Auto_spec.a_phases
+    | None -> List.map (fun pr -> (pr, None)) auto.As.a_phases
     | Some sc ->
         List.map2
           (fun pr ps -> (pr, Some ps))
-          auto.Staticcheck.Auto_spec.a_phases sc.Isch.sc_phases
+          auto.As.a_phases sc.Isch.sc_phases
   in
   let runs =
     let rev_runs =
@@ -775,10 +631,7 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
   in
   let phases =
     List.concat_map
-      (fun members ->
-        match members with
-        | [ one ] -> [ run_one one ]
-        | many -> run_group many)
+      (function [ one ] -> [ run_one one ] | many -> run_group many)
       runs
   in
   let par =
@@ -792,27 +645,12 @@ let analyze_inferred ?(mode = Incremental) ?(measure_traversal = false)
   in
   { mode;
     n_stmts = Minic.Ast.stmt_count program;
-    base_bytes;
+    base_bytes = Segment.body_size base.Chain.segment;
     phases;
     chain;
     subject = Workload_heap { wheap; auto };
     env;
-    elide_plans = [];
     par }
-
-let analyze ?mode ?division ?sea_min ?bta_min ?eta_min ?measure_traversal
-    ?guard ?preflight ?elide ?(infer = false) ?minimize ?seed_dead ?parallel
-    ?seed_racy program =
-  if parallel <> None && not infer then
-    invalid_arg
-      "Engine.analyze: ~parallel requires ~infer (the schedule comes from \
-       the inferred phase structure)";
-  if infer then
-    analyze_inferred ?mode ?measure_traversal ?guard ?elide ?minimize
-      ?seed_dead ?parallel ?seed_racy program
-  else
-    analyze_declared ?mode ?division ?sea_min ?bta_min ?eta_min
-      ?measure_traversal ?guard ?preflight ?elide program
 
 let recover_annotations report =
   match Chain.recover report.chain with

@@ -1,13 +1,19 @@
-(** The phase driver: runs the three analyses over a program, taking a
-    checkpoint at the end of every iteration (paper Section 4.2: "the end
-    of an iteration is a natural time at which to take a checkpoint"),
-    with one of three checkpointing methods:
+(** The phase driver: runs a program's phases, taking a checkpoint at the
+    end of every iteration (paper Section 4.2: "the end of an iteration is
+    a natural time at which to take a checkpoint"), with one of three
+    checkpointing methods:
 
     - [Full] — record every object each time (the paper's baseline);
     - [Incremental] — the generic Figure-1 algorithm (one full base
       checkpoint, then modified-only);
     - [Specialized] — phase-specific residual code produced by {!Jspec.Pe}
-      from the {!Attrs} shapes, compiled to closures.
+      from the phase's shapes, compiled to closures.
+
+    Two entry points share one checkpoint step and one round driver:
+    {!analyze} runs the paper's engine (SEA → BTA → ETA over the program,
+    checkpointing the declared {!Attrs} heap); {!infer} runs the program
+    itself annotation-free, checkpointing its globals under inferred
+    shapes.
 
     The driver also measures, per iteration, checkpoint construction time
     and (optionally) pure traversal time — re-running the same routine on
@@ -19,6 +25,25 @@ open Ickpt_core
 type mode = Full | Incremental | Specialized
 
 val pp_mode : Format.formatter -> mode -> unit
+
+(** How {!infer} executes and checkpoints the program. *)
+type strategy =
+  | Sequential of mode
+  | Minimized of { seed_dead : bool }
+      (** Specialized, recording under the minimized shapes
+          ([Staticcheck.Auto_spec.ph_min_shapes]: may-write ∩ live, dead
+          dirty blocks demoted). Not byte-identical to an unminimized
+          chain; its contract is restore-equivalence, checked by
+          [Elide_oracle.run_live]. [seed_dead] drops one live block from
+          the minimized set — the self-test that oracle must catch. *)
+  | Parallel of { mode : mode; domains : int; seed_racy : bool }
+      (** Executes an {!Staticcheck.Interfere} schedule over [domains]:
+          disjoint iteration strips and phase groups run on their own
+          domains against {!Dlog} tracking stores, and the master replays
+          the write logs in schedule order, so the chain is
+          byte-identical to [Sequential mode] whenever the static
+          disjointness proof holds. [seed_racy] widens one strip by a
+          cell — the self-test for [Elide_oracle.run_par]. *)
 
 type iteration_stat = {
   bytes : int;  (** checkpoint body size *)
@@ -32,16 +57,15 @@ type iteration_stat = {
 }
 
 type phase_report = {
-  phase : string;  (** "sea", "bta" or "eta" *)
+  phase : string;  (** "sea", "bta", "eta", or a discovered phase name *)
   iterations : int;
   stats : iteration_stat list;  (** one per iteration, in order *)
   analysis_seconds : float;  (** time in the analysis itself *)
 }
 
 (** What the run checkpointed: the analysis engine's own attribute heap
-    (declared specialization classes, the PR-1 pipeline), or — for
-    [analyze ~infer] — the workload program's globals materialized as a
-    {!Wheap} under fully inferred shapes. *)
+    ({!analyze}), or the program's globals materialized as a {!Wheap}
+    under fully inferred shapes ({!infer}). *)
 type subject =
   | Engine_heap of Attrs.t
   | Workload_heap of { wheap : Wheap.t; auto : Staticcheck.Auto_spec.t }
@@ -74,30 +98,24 @@ type report = {
   chain : Chain.t;
   subject : subject;
   env : Minic.Check.env;
-  elide_plans : Staticcheck.Barrier_elide.plan list;
-      (** the per-phase elision plans the run executed under; empty
-          unless [analyze ~elide:true] (declared runs only — inferred
-          runs carry their plans in the {!subject}'s
-          [Staticcheck.Auto_spec.t]) *)
-  par : par_report option;
-      (** present iff the run executed under [analyze ~parallel] *)
+  par : par_report option;  (** present iff the strategy was [Parallel] *)
 }
 
 val attrs : report -> Attrs.t
-(** The attribute heap of a declared run.
-    @raise Invalid_argument on an [~infer] report. *)
+(** The attribute heap of an {!analyze} run.
+    @raise Invalid_argument on an {!infer} report. *)
 
 val auto_spec : report -> Staticcheck.Auto_spec.t option
-(** The inference result of an [~infer] run; [None] otherwise. *)
+(** The inference result of an {!infer} run; [None] otherwise. *)
 
 val wheap : report -> Wheap.t option
 
 exception Preflight_failed of Staticcheck.Spec_lint.diagnostic list
 
 exception Verification_failed of (string * Staticcheck.Tv.verdict) list
-(** A phase's residual checkpoint code failed translation validation
-    (see {!Staticcheck.Tv.verify}); carries the failing phases with
-    their verdicts. *)
+(** Residual checkpoint code failed translation validation (see
+    {!Staticcheck.Tv.verify}); carries the failing phases (or
+    phase/global pairs) with their verdicts. *)
 
 val preflight : Attrs.t -> Staticcheck.Spec_lint.diagnostic list
 (** Spec-lint every phase's declared specialization class against the
@@ -106,85 +124,71 @@ val preflight : Attrs.t -> Staticcheck.Spec_lint.diagnostic list
 
 val analyze :
   ?mode:mode ->
-  ?division:string list ->
-  ?sea_min:int -> ?bta_min:int -> ?eta_min:int ->
+  ?bta_min:int -> ?eta_min:int ->
   ?measure_traversal:bool ->
   ?guard:bool ->
   ?preflight:bool ->
   ?elide:bool ->
-  ?infer:bool ->
-  ?minimize:bool ->
-  ?seed_dead:bool ->
-  ?parallel:int ->
-  ?seed_racy:bool ->
   Minic.Ast.program ->
   report
-(** Defaults: [mode = Incremental]; [division] = the program's globals
-    named in {!Minic.Gen.static_globals}; minimum iteration counts 1 (the
-    paper's configuration is [bta_min = 9], [eta_min = 3]);
-    [measure_traversal = false]; [guard = false] (when true, every
-    specialized checkpoint validates the declarations first and raises
-    {!Jspec.Guard.Violated} on a breach); [preflight = false] (when true,
-    the declared specialization classes are spec-linted against the
-    static inference before any phase runs, raising {!Preflight_failed}
-    if an unsound declaration is found, and every phase's residual
-    checkpoint code is translation-validated against the generic
-    algorithm — through the run's {!Jspec.Spec_cache}, so shared shapes
-    verify once — raising {!Verification_failed} on a refuted or
-    unsupported shape); [elide = false] (when true, each phase runs
-    under its {!Staticcheck.Barrier_elide} plan: setters for sites the
-    dirty-region analysis proves the phase never writes are rerouted
-    around the write barrier, and the runtime guard is pruned to the
-    checks the analysis could not discharge — skipped entirely when none
-    remain. Elision never changes checkpoint bytes on any run the static
-    analysis covers soundly; {!Elide_oracle} verifies this
-    differentially).
+(** The paper's engine: SEA, BTA and ETA over [program], checkpointing the
+    {!Attrs} heap after every iteration. The binding-time division is the
+    program's globals named in {!Minic.Gen.static_globals}; SEA runs to
+    its fixpoint.
 
-    [infer = false]: when true, the program is run {e annotation-free}
-    through the automatic pipeline ({!Staticcheck.Auto_spec}): phases
-    are discovered from [main]'s top-level structure, the globals become
-    the checkpointable {!Wheap}, shapes and elision plans are inferred
-    per phase, and the reference interpreter drives the program itself —
-    one checkpoint per discovered round. Every synthesized checkpointer
-    must pass translation validation first; {!Verification_failed} is
-    raised otherwise {e in every mode} (verified-or-refused, never a
-    silent generic fallback). [division], [sea_min], [bta_min],
-    [eta_min] and [preflight] do not apply to inferred runs and are
-    ignored; [elide] uses the inferred per-global
-    {!Staticcheck.Barrier_elide.wplan}s; [guard] validates each root
-    against its inferred shape before every specialized checkpoint.
-
-    [minimize = false]: when true (inferred [Specialized] runs only —
-    [Invalid_argument] otherwise), each checkpoint records under the
-    {e minimized} shapes ([Staticcheck.Auto_spec.ph_min_shapes]:
-    may-write ∩ live per the {!Staticcheck.Live} analysis, dead dirty
-    blocks demoted), guards keep validating the original shapes, [elide]
-    switches to the live-extended plans, and every specialized step ends
-    with a {!Wheap.clear_modified} sweep so demoted blocks' stale flags
-    cannot trip later guards. Minimized segments are {e not}
-    byte-identical to unminimized ones by construction; their soundness
-    contract is restore-equivalence, verified by
-    [Ickpt_analysis.Elide_oracle.run_live]. [seed_dead] (inferred runs)
-    is passed to {!Staticcheck.Auto_spec.infer}: one live block is
-    deliberately dropped from the minimized set, which the
-    restore-equivalence oracle must catch.
-
-    [parallel]: inferred runs only ([Invalid_argument] otherwise, and
-    incompatible with [minimize]). Builds an {!Staticcheck.Interfere}
-    schedule over [n] domains and executes it: statically disjoint
-    iteration strips and phase groups run on their own OCaml domains
-    against domain-local {!Dlog} tracking stores, and the master replays
-    the write logs in schedule order through the barriered heap — the
-    chain is byte-identical to the sequential run whenever the static
-    disjointness proof holds, which [Elide_oracle.run_par] re-checks
-    dynamically together with observed-footprint disjointness.
-    [seed_racy] asks the schedule to widen one strip's executed range by
-    one cell after the static checks (see
-    {!Staticcheck.Interfere.schedule}) — the self-test that the dynamic
-    oracle actually gates parallel runs.
+    - [mode] (default [Incremental]).
+    - [bta_min], [eta_min]: minimum iteration counts (default 1; the
+      paper's configuration is 9 and 3).
+    - [measure_traversal] (default false): fill
+      [iteration_stat.traversal_seconds].
+    - [guard] (default false): every specialized checkpoint validates the
+      declarations first, raising {!Jspec.Guard.Violated} on a breach.
+    - [preflight] (default false): before any phase runs, spec-lint the
+      declarations ({!Preflight_failed} on an unsound one) and
+      translation-validate every phase's residual code
+      ({!Verification_failed} on a refuted or unsupported shape).
+    - [elide] (default false): each phase runs under its
+      {!Staticcheck.Barrier_elide} plan — setters for sites the phase
+      provably never writes bypass the write barrier, and the guard keeps
+      only the checks the analysis could not discharge. Checkpoint bytes
+      do not change; {!Elide_oracle} verifies this differentially.
 
     The chain in the result can be recovered to verify the checkpointed
     analysis state (see the crash-recovery example). *)
+
+val infer :
+  ?guard:bool -> ?elide:bool -> ?strategy:strategy -> Minic.Ast.program ->
+  report
+(** Annotation-free run ({!Staticcheck.Auto_spec}): phases are discovered
+    from [main]'s top-level structure, the globals become the
+    checkpointable {!Wheap}, shapes and elision plans are inferred per
+    phase, and the reference interpreter drives the program — one
+    checkpoint per setup phase and per round, plus one after a round
+    loop's final guard evaluation. A top-level [return] ends the run after
+    checkpointing the partial round.
+
+    Every synthesized checkpointer must pass translation validation first,
+    in every mode; {!Verification_failed} is raised otherwise (verified or
+    refused, never a silent generic fallback). [guard] validates each root
+    against its inferred shape before every specialized checkpoint;
+    [elide] uses the inferred per-global {!Staticcheck.Barrier_elide.wplan}s
+    (the live-extended ones under [Minimized]). [strategy] defaults to
+    [Sequential Incremental]. *)
+
+val rounds :
+  Staticcheck.Phase_discover.phase ->
+  eval:(Minic.Ast.expr -> int) ->
+  exec:(unit -> unit) ->
+  halted:bool ref ->
+  step:(unit -> unit) ->
+  int
+(** The one Setup/Round driver behind {!infer} (and the oracles that
+    re-drive a program): a [Setup] phase runs [exec] once, then [step]; a
+    [Round] phase evaluates its guard with [eval], runs [exec] while it
+    holds and calls [step] after every evaluation. An
+    {!Minic.Interp.Session.Halted} escaping [exec] sets [halted] and ends
+    the phase after that round's [step]; a phase entered with [halted] set
+    does nothing. Returns the number of [step] calls. *)
 
 val phase_bytes : phase_report -> int
 

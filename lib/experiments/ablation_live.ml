@@ -120,11 +120,13 @@ let measure (wname, program) =
   let t = Auto_spec.infer env in
   let o = Elide_oracle.run_live ~name:wname program in
   let base =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true program
+    Engine.infer ~guard:true ~strategy:(Engine.Sequential Engine.Specialized)
+      program
   in
   let min =
-    Engine.analyze ~infer:true ~mode:Engine.Specialized ~guard:true ~elide:true
-      ~minimize:true program
+    Engine.infer ~guard:true ~elide:true
+      ~strategy:(Engine.Minimized { seed_dead = false })
+      program
   in
   let slug =
     String.map (fun c -> if c = '/' || c = '.' then '_' else c) wname

@@ -1,7 +1,7 @@
 (** Liveness-minimization ablation (BENCH_6): for each example workload
     (plus an all-live control program), incremental checkpoint bytes of
     the unminimized guarded-specialized run vs the minimized run
-    ([Engine.analyze ~infer ~minimize]), the tracked shape nodes the
+    ([Engine.infer ~strategy:(Minimized _)]), the tracked shape nodes the
     {!Staticcheck.Live} analysis kept vs dropped, on-disk pack sizes of
     both chains through the content-addressed store, and the
     {!Ickpt_analysis.Elide_oracle.run_live} restore-equivalence verdict

@@ -109,7 +109,7 @@ let measure_workload (wname, program) =
   let t = Auto_spec.infer env in
   let _, seq_seconds =
     Ickpt_harness.Clock.best_of ~repeats:2 (fun () ->
-        Engine.analyze ~infer:true ~mode:Engine.Incremental program)
+        Engine.infer program)
   in
   let rows =
     List.map
@@ -117,7 +117,12 @@ let measure_workload (wname, program) =
         let sc = Interfere.schedule ~domains:d t in
         let _, par_seconds =
           Ickpt_harness.Clock.best_of ~repeats:2 (fun () ->
-              Engine.analyze ~infer:true ~mode:Engine.Incremental ~parallel:d
+              Engine.infer
+                ~strategy:
+                  (Engine.Parallel
+                     { mode = Engine.Incremental;
+                       domains = d;
+                       seed_racy = false })
                 program)
         in
         let o = Elide_oracle.run_par ~domains:d ~name:wname program in

@@ -19,29 +19,15 @@ let is_service_store ?(vfs = Vfs.real) path =
 
 let rows ?(vfs = Vfs.real) ~path () =
   let shards =
-    match
-      (* Re-read the meta through the Service codec indirectly: the shard
-         count is whatever files exist if the meta is unreadable. *)
-      if vfs.Vfs.exists (Service.meta_path path) then
-        let raw = vfs.Vfs.read_file (Service.meta_path path) in
-        let inp = In_stream.of_string_at raw ~pos:0 in
-        let m = In_stream.read_fixed32 inp in
-        if m <> 0x534b4349 then None
-        else begin
-          ignore (In_stream.read_byte inp : int);
-          Some (In_stream.read_int inp)
-        end
-      else None
-    with
-    | Some n when n >= 1 -> n
-    | Some _ | None ->
+    match Service.load_meta vfs (Service.meta_path path) with
+    | Some (n, _) -> n
+    | None ->
+        (* Unreadable meta: the shard count is whatever index files exist. *)
         let rec count i =
           if vfs.Vfs.exists (Service.shard_index_path path i) then count (i + 1)
           else i
         in
         max 1 (count 0)
-    | exception In_stream.Corrupt _ -> 1
-    | exception Invalid_argument _ -> 1
   in
   let pack = Pack.open_ ~vfs (Service.pack_path path) in
   let entries =
@@ -49,34 +35,15 @@ let rows ?(vfs = Vfs.real) ~path () =
       (List.init shards (fun i ->
            fst (Epoch_index.load_mux vfs (Service.shard_index_path path i))))
   in
+  (* The catalog's intact prefix through Service's own decoder: a frame
+     whose CRC fails ends it, and its tenant shows as the hex id. *)
   let names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let catalog_file = Service.catalog_path path in
-  if vfs.Vfs.exists catalog_file then begin
-    (* The catalog codec is private to Service; walk it through a scratch
-       service-free decode: magic, version, id, name, crc. *)
-    let raw = vfs.Vfs.read_file catalog_file in
-    let len = String.length raw in
-    let rec go pos =
-      if pos >= len then ()
-      else
-        match
-          let inp = In_stream.of_string_at raw ~pos in
-          let m = In_stream.read_fixed32 inp in
-          if m <> 0x544b4349 then raise (In_stream.Corrupt "bad magic");
-          ignore (In_stream.read_byte inp : int);
-          let id = In_stream.read_int inp in
-          let name = In_stream.read_string inp in
-          ignore (In_stream.read_fixed32 inp : int);
-          (id, name, In_stream.pos inp)
-        with
-        | id, name, next ->
-            if not (Hashtbl.mem names id) then Hashtbl.replace names id name;
-            go next
-        | exception In_stream.Corrupt _ -> ()
-        | exception Invalid_argument _ -> ()
-    in
-    go 0
-  end;
+  List.iter
+    (fun (id, name) ->
+      if not (Hashtbl.mem names id) then Hashtbl.replace names id name)
+    (Vfs.read_frames vfs (Service.catalog_path path)
+       Service.decode_catalog_entry)
+      .Vfs.frames;
   (* Per chunk: the set of tenants referencing it (distinctly). *)
   let referers : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 256 in
   let tenant_chunks : (int, (int, unit) Hashtbl.t) Hashtbl.t =

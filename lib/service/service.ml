@@ -17,10 +17,7 @@ let meta_path path = path ^ ".svc"
 
 let tenant_id name = Hash64.string name
 
-type commit_mode =
-  | Per_epoch
-  | Group of Async_writer.Batch.policy
-  | Group_async of Async_writer.Batch.policy
+type commit_mode = Per_epoch | Group of Async_writer.Batch.policy
 
 type tenant = {
   t_svc : t;
@@ -45,9 +42,8 @@ and item = {
 and shard_state = {
   s_index_file : string;
   mutable s_committed : Epoch_index.mux_entry list;  (* oldest first *)
-  mutable s_pending : item list;  (* oldest first; inline Group mode *)
+  mutable s_pending : item list;  (* oldest first; Group mode *)
   mutable s_pending_bytes : int;
-  mutable s_batch : item Async_writer.Batch.t option;  (* Group_async *)
 }
 
 and t = {
@@ -182,8 +178,7 @@ let open_ ?(vfs = Vfs.real) ?(shards = Shard.default_count)
         { s_index_file;
           s_committed = Commit.open_index vfs pack s_index_file Commit.mux;
           s_pending = [];
-          s_pending_bytes = 0;
-          s_batch = None })
+          s_pending_bytes = 0 })
   in
   let t =
     { vfs;
@@ -262,29 +257,6 @@ let flush t =
               s.s_pending_bytes <- 0;
               commit_batch_locked t s batch)
             t.shard_tbl)
-  | Group_async _ ->
-      Array.iter
-        (fun s -> Option.iter Async_writer.Batch.flush s.s_batch)
-        t.shard_tbl
-
-(* Lazily started (under the lock — submits may race from several
-   domains) so the batch sink can close over [t]. *)
-let ensure_batches t =
-  match t.commit with
-  | Per_epoch | Group _ -> ()
-  | Group_async policy ->
-      with_lock t (fun () ->
-          Array.iter
-            (fun s ->
-              if s.s_batch = None then
-                s.s_batch <-
-                  Some
-                    (Async_writer.Batch.create ~policy
-                       ~size:(fun it -> it.it_body_len)
-                       ~sink:(fun items ->
-                         with_lock t (fun () -> commit_batch_locked t s items))
-                       ()))
-            t.shard_tbl)
 
 let submit tenant (seg : Segment.t) =
   let t = tenant.t_svc in
@@ -318,11 +290,6 @@ let submit tenant (seg : Segment.t) =
             s.s_pending_bytes <- 0;
             commit_batch_locked t s batch
           end)
-  | Group_async _ -> (
-      ensure_batches t;
-      match s.s_batch with
-      | Some b -> Async_writer.Batch.enqueue b it
-      | None -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Tenants.                                                            *)
@@ -424,11 +391,6 @@ let evict t ~name =
 let close t =
   if not t.closed then begin
     flush t;
-    Array.iter
-      (fun s ->
-        Option.iter Async_writer.Batch.close s.s_batch;
-        s.s_batch <- None)
-      t.shard_tbl;
     t.closed <- true
   end
 

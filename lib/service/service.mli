@@ -25,11 +25,9 @@
       whichever appending caller trips the policy's [max_items]/[max_bytes]
       threshold commits the whole batch inline — 2 fsyncs {e per batch},
       amortized over every tenant in it. Deterministic (no threads), so
-      the fault simulator sweeps this path byte-by-byte.
-    - [Group_async policy]: a background drain thread per shard
-      ({!Ickpt_core.Async_writer.Batch}) cuts batches by the same policy
-      plus a [linger] window. Lowest producer latency; commit happens off
-      the caller's thread.
+      the fault simulator sweeps this path byte-by-byte. The policy's
+      [linger] is not used: a batch commits only on a threshold or at
+      {!flush}.
 
     A group commit is atomic per batch: the pack chunks of {e all} its
     epochs are synced before the index batch is appended in one write +
@@ -58,15 +56,22 @@ type t
 type tenant
 (** A handle to one open tenant. Invalidated by {!evict} and {!close}. *)
 
-type commit_mode =
-  | Per_epoch
-  | Group of Async_writer.Batch.policy
-  | Group_async of Async_writer.Batch.policy
+type commit_mode = Per_epoch | Group of Async_writer.Batch.policy
 
 val pack_path : string -> string
 val shard_index_path : string -> int -> string
 val catalog_path : string -> string
 val meta_path : string -> string
+
+val decode_catalog_entry : string -> pos:int -> (int * string) * int
+(** Decode one catalog frame [(id, name)] at [pos], returning it and the
+    next offset. @raise Ickpt_stream.In_stream.Corrupt on a bad magic,
+    version or CRC. *)
+
+val load_meta : Vfs.t -> string -> (int * int) option
+(** The persisted [(shards, records_per_chunk)] of the meta file at the
+    given path; [None] when it is missing or fails its CRC. Never
+    writes. *)
 
 val tenant_id : string -> int
 (** The 63-bit id a tenant name hashes to ({!Ickpt_stream.Hash64}). Two
@@ -135,8 +140,8 @@ val evict : t -> name:string -> unit
     old handle must not be used again. *)
 
 val close : t -> unit
-(** Flush, stop drain threads. Idempotent; the handle (and every tenant
-    handle) must not be used after. *)
+(** Flush. Idempotent; the handle (and every tenant handle) must not be
+    used after. *)
 
 val tenants : t -> (int * string) list
 (** The catalog: every tenant ever opened here, `(id, name)`, oldest

@@ -47,9 +47,9 @@ type phase_result = {
   ph_min_shapes : (string * Sclass.shape) list;
       (** shapes over [ph_min_regions]: dead dirty blocks demoted to
           [Clean]/[Clean_opaque], so the specialized checkpointer skips
-          them — used by [Engine.analyze ~minimize] for recording only
-          (guards keep validating [ph_shapes], which the dynamic heap
-          conforms to) *)
+          them — used by [Engine.infer]'s [Minimized] strategy for
+          recording only (guards keep validating [ph_shapes], which the
+          dynamic heap conforms to) *)
   ph_min_verdicts : (string * Tv.verdict) list;
       (** TV verdicts of the minimized shapes — same verified-or-refusal
           contract as [ph_verdicts] *)

@@ -1,8 +1,8 @@
 (** Interference analysis for domain-parallel phase execution.
 
-    The static trust story behind [Engine.analyze ~parallel]: decide,
-    from may-read/may-write footprints on the {!Regions} interval
-    lattice, which work of a discovered phase structure may execute on
+    The static trust story behind [Engine.infer]'s [Parallel] strategy:
+    decide, from may-read/may-write footprints on the {!Regions}
+    interval lattice, which work of a discovered phase structure may execute on
     separate OCaml domains without the dirty logs interleaving
     unsoundly. Two levels:
 

@@ -135,7 +135,7 @@ let seeded_unsound_refused () =
    the plain hashtable store. *)
 let engine_infer_state () =
   let program = example_program "blur.mc" in
-  let report = Engine.analyze ~infer:true program in
+  let report = Engine.infer program in
   let wheap =
     match Engine.wheap report with
     | Some w -> w

@@ -182,16 +182,24 @@ let all_live_identity () =
     (tracked_total (fun ph -> ph.As.ph_shapes) t)
     (tracked_total (fun ph -> ph.As.ph_min_shapes) t)
 
+(* Minimized runs have no mode to choose: the strategy is Specialized by
+   construction, and every checkpoint goes through the residual
+   recorders (the generic step would count recorded objects). *)
 let minimize_requires_specialized () =
-  let program = example_program "blur.mc" in
-  Alcotest.check_raises "minimize outside Specialized is a contract error"
-    (Invalid_argument
-       "Engine.analyze: ~minimize requires Specialized mode (pruned \
-        residual checkpointers)")
-    (fun () ->
-      ignore
-        (Engine.analyze ~infer:true ~mode:Engine.Incremental ~minimize:true
-           program))
+  let r =
+    Engine.infer ~strategy:(Engine.Minimized { seed_dead = false })
+      (example_program "blur.mc")
+  in
+  check_bool "reports Specialized mode" true
+    (r.Engine.mode = Engine.Specialized);
+  List.iter
+    (fun (p : Engine.phase_report) ->
+      List.iter
+        (fun (s : Engine.iteration_stat) ->
+          check_int (p.Engine.phase ^ ": residual recorder") (-1)
+            s.Engine.recorded)
+        p.Engine.stats)
+    r.Engine.phases
 
 (* ---- restore-equivalence oracle -------------------------------------------- *)
 

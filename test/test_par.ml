@@ -3,8 +3,8 @@
    region pair, phase groups), deterministic replay (the parallel chain
    is byte-identical to the sequential one at any domain count), the
    sequential-identity oracle including the seeded racy overlap that
-   only the dynamic footprint check may catch, and the engine's argument
-   contract for [~parallel]. *)
+   only the dynamic footprint check may catch, and a top-level return
+   inside a parallel phase group. *)
 
 module As = Staticcheck.Auto_spec
 module If = Staticcheck.Interfere
@@ -158,15 +158,18 @@ let segment_keys report =
         s.Ickpt_core.Segment.body ))
     (Ickpt_core.Chain.segments report.Engine.chain)
 
+let parallel ~domains program =
+  Engine.infer
+    ~strategy:
+      (Engine.Parallel
+         { mode = Engine.Incremental; domains; seed_racy = false })
+    program
+
 let merge_determinism () =
   let program = example_program "blur.mc" in
-  let seq = Engine.analyze ~infer:true ~mode:Engine.Incremental program in
-  let par1 =
-    Engine.analyze ~infer:true ~mode:Engine.Incremental ~parallel:1 program
-  in
-  let par4 =
-    Engine.analyze ~infer:true ~mode:Engine.Incremental ~parallel:4 program
-  in
+  let seq = Engine.infer program in
+  let par1 = parallel ~domains:1 program in
+  let par4 = parallel ~domains:4 program in
   check_bool "1-domain chain = sequential chain" true
     (segment_keys par1 = segment_keys seq);
   check_bool "4-domain chain = sequential chain" true
@@ -246,23 +249,43 @@ let oracle_seeded_blur () =
         (c.Elide_oracle.pc_detail <> ""))
     o.Elide_oracle.pw_conflicts
 
-(* ---- engine argument contract ---------------------------------------------- *)
+(* ---- halt inside a phase group -----------------------------------------------
 
-let engine_contract () =
-  let program = example_program "blur.mc" in
-  Alcotest.check_raises "~parallel without ~infer"
-    (Invalid_argument
-       "Engine.analyze: ~parallel requires ~infer (the schedule comes \
-        from the inferred phase structure)")
-    (fun () -> ignore (Engine.analyze ~parallel:2 program));
-  Alcotest.check_raises "~parallel with ~minimize"
-    (Invalid_argument
-       "Engine.analyze: ~parallel is incompatible with ~minimize \
-        (minimized segments are not byte-comparable)")
-    (fun () ->
-      ignore
-        (Engine.analyze ~infer:true ~mode:Engine.Specialized ~minimize:true
-           ~parallel:2 program))
+   twoloops with a [return] in the first loop's third round: the schedule
+   still groups all three phases, so the first member halts on its own
+   domain while the later members run to completion there. The master
+   must replay only the halted member's three rounds and discard the
+   rest — exactly the sequential run's chain, with the later phases
+   taking no checkpoint. *)
+
+let halting_src =
+  "int a = 0;\n\
+   int b = 0;\n\
+   int i = 0;\n\
+   int j = 0;\n\
+   int main() {\n\
+  \  while (i < 5) { a = a + 1; i = i + 1; if (i == 3) { return a; } }\n\
+  \  while (j < 5) { b = b + 2; j = j + 1; }\n\
+  \  return 0;\n\
+   }\n"
+
+let halt_in_group () =
+  let program = Minic.Parser.parse halting_src in
+  let sc = If.schedule ~domains:2 (As.infer (Minic.Check.check program)) in
+  check_int "one multi-phase group" 1 sc.Sc.sc_groups;
+  check_bool "all phases share the group" true
+    (List.for_all (fun ps -> ps.Sc.ps_group = 0) sc.Sc.sc_phases);
+  let seq = Engine.infer program in
+  let par = parallel ~domains:2 program in
+  check_bool "grouped chain = sequential chain" true
+    (segment_keys par = segment_keys seq);
+  let iterations (r : Engine.report) =
+    List.map (fun (p : Engine.phase_report) -> p.Engine.iterations)
+      r.Engine.phases
+  in
+  Alcotest.(check (list int)) "sequential iterations" [ 3; 0; 0 ]
+    (iterations seq);
+  Alcotest.(check (list int)) "grouped iterations" [ 3; 0; 0 ] (iterations par)
 
 let suites =
   [ ( "interfere-schedule",
@@ -273,7 +296,7 @@ let suites =
         Alcotest.test_case "phase groups" `Quick phase_groups ] );
     ( "par-engine",
       [ Alcotest.test_case "deterministic merge" `Slow merge_determinism;
-        Alcotest.test_case "argument contract" `Quick engine_contract ] );
+        Alcotest.test_case "halt inside a phase group" `Quick halt_in_group ] );
     ( "par-oracle",
       [ Alcotest.test_case "blur passes" `Slow oracle_blur;
         Alcotest.test_case "seeded racy overlap caught" `Slow

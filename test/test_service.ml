@@ -242,6 +242,44 @@ let service_basics () =
   check_int "evict keeps disk state" 7 (List.length (Service.epochs ta3));
   Service.close svc2
 
+(* Attribution reads the catalog through Service's own decoder. A flipped
+   byte inside the first tenant's name fails that frame's CRC, so the
+   tenant shows under its hex id, never under the corrupted name, and
+   reading leaves the catalog as it was. *)
+let attrib_corrupt_catalog () =
+  let vfs = fresh_vfs () in
+  let svc = Service.open_ ~vfs ~shards:2 ~records_per_chunk:4 ~path:"svc" () in
+  List.iter
+    (fun (name, offset) ->
+      let w = make_world ~offset in
+      let tn = Service.open_tenant svc w.schema ~name in
+      ignore (Service.checkpoint tn w.roots : int))
+    [ ("tenant00", 0); ("tenant01", 100) ];
+  Service.close svc;
+  let cat = Service.catalog_path "svc" in
+  let raw = vfs.Vfs.read_file cat in
+  let at =
+    let rec find i =
+      if String.sub raw i 8 = "tenant00" then i else find (i + 1)
+    in
+    find 0
+  in
+  let flipped = Bytes.of_string raw in
+  Bytes.set flipped (at + 1) 'd';
+  let flipped = Bytes.to_string flipped in
+  Vfs.write_durably (vfs.Vfs.open_trunc cat) (fun write -> write flipped);
+  let rows = Attrib.rows ~vfs ~path:"svc" () in
+  let names = List.map (fun r -> r.Attrib.a_name) rows in
+  check_bool "corrupted name not shown" false (List.mem "tdnant00" names);
+  let hex = Hash64.to_hex (Service.tenant_id "tenant00") in
+  (match List.find_opt (fun r -> r.Attrib.a_name = hex) rows with
+  | Some r -> check_int "its epoch is still attributed" 1 r.Attrib.a_epochs
+  | None ->
+      Alcotest.failf "no row under hex id %s among %s" hex
+        (String.concat ", " names));
+  check_bool "catalog untouched" true
+    (String.equal flipped (vfs.Vfs.read_file cat))
+
 (* ------------------------------------------------------------------ *)
 (* Group commit: fewer fsyncs, flush as durability barrier.            *)
 
@@ -309,50 +347,6 @@ let group_flush_barrier () =
     (List.length (Service.epochs tn));
   Service.flush svc;
   check_int "flush commits" 1 (List.length (Service.epochs tn));
-  Service.close svc
-
-let group_async_mode () =
-  let vfs = fresh_vfs () in
-  let svc =
-    Service.open_ ~vfs ~shards:2 ~records_per_chunk:4
-      ~policy:(Policy.Full_every 3)
-      ~commit:
-        (Service.Group_async
-           { Async_writer.Batch.max_items = 4;
-             max_bytes = 1 lsl 20;
-             linger = 0.002 })
-      ~path:"svc" ()
-  in
-  let tens =
-    List.init 3 (fun i ->
-        let w = make_world ~offset:(i * 777) in
-        (Service.open_tenant svc w.schema ~name:(Printf.sprintf "a%d" i), w))
-  in
-  let snaps = Hashtbl.create 16 in
-  for r = 0 to 4 do
-    List.iteri
-      (fun i (tn, (w : world)) ->
-        if r > 0 then w.mutate r;
-        let e = Service.checkpoint tn w.roots in
-        Hashtbl.replace snaps (i, e) (full_body w.roots))
-      tens
-  done;
-  Service.flush svc;
-  List.iteri
-    (fun i (tn, _) ->
-      check_int "all committed" 5 (List.length (Service.epochs tn));
-      List.iter
-        (fun e ->
-          let _heap, roots = Service.restore tn ~epoch:e in
-          check_bool "async-committed epoch restores" true
-            (String.equal (full_body roots) (Hashtbl.find snaps (i, e))))
-        (Service.epochs tn))
-    tens;
-  check_bool "drain thread grouped commits" true
-    ((Service.stats svc).Service.commit_batches
-    < (Service.stats svc).Service.committed_epochs);
-  check_bool "latencies recorded" true
-    (List.length (Service.drain_latencies svc) = 15);
   Service.close svc
 
 (* ------------------------------------------------------------------ *)
@@ -583,7 +577,8 @@ let suites =
       [ Alcotest.test_case "basics + dedup + resume" `Quick service_basics;
         Alcotest.test_case "group commit fsyncs" `Quick group_commit_fsyncs;
         Alcotest.test_case "flush barrier" `Quick group_flush_barrier;
-        Alcotest.test_case "async group commit" `Quick group_async_mode ] );
+        Alcotest.test_case "attribution of a corrupt catalog" `Quick
+          attrib_corrupt_catalog ] );
     ( "service.collision",
       [ Alcotest.test_case "store salted rehash" `Quick store_salted_collision;
         Alcotest.test_case "service surfaces collision" `Quick
